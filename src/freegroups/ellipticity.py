@@ -26,13 +26,13 @@ from .stallings import (
     build_subgroup,
     contains_conjugate,
     find_cycle,
-    has_cycle,
     intersect,
     product,
     spanning_tree_basis,
     type_graph,
 )
 from .whitehead import (
+    CertificateError,
     PairClass,
     classify_pair,
     minimize_tuple,
@@ -197,9 +197,8 @@ def splittings_distance_two(
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
         prod = product(type_graph(s1.factor(i)), type_graph(s2.factor(j)))
-        if has_cycle(prod):
-            found = find_cycle(prod)
-            assert found is not None
+        found = find_cycle(prod)
+        if found is not None:
             letters, _ = found
             return EllipticityAnswer(True, CyclicWord(s1.alphabet, letters))
     return EllipticityAnswer(False)
@@ -249,7 +248,8 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
         basis_a = [back.apply_to_word(u) for u in basis_a]
         basis_b = [back.apply_to_word(u) for u in basis_b]
     s = verify_splitting(basis_a, basis_b, alphabet)
-    assert word_elliptic(v, s) and word_elliptic(w, s)
+    if not (word_elliptic(v, s) and word_elliptic(w, s)):
+        raise CertificateError("the pulled-back splitting misses an input word")
     return EllipticityAnswer(True, s)
 
 

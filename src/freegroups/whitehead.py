@@ -2,14 +2,26 @@
 
 Two kinds of Whitehead automorphism act on cyclic words: relabelings
 (signed permutations of the generators) and multiplier automorphisms,
-which fix a multiplier letter a and send every other generator x to one
-of x, xa, a^-1 x, or a^-1 x a.  Relabelings never change length, and if
+which fix a multiplier letter m and send every other generator x to one
+of x, xm, m^-1 x, or m^-1 x m.  Relabelings never change length, and if
 a tuple of cyclic words is not of minimal total length in its
 automorphism orbit then some multiplier automorphism strictly shortens
 it, so first-improvement descent over the multiplier family reaches the
 minimum.  Two minimal tuples lie in the same orbit exactly when they
 are connected by length-preserving Whitehead automorphisms, which is
 what the orbit closure computes.
+
+Candidates are scored without rewriting any word.  The Whitehead graph
+of a tuple has one vertex per letter and, for each cyclically adjacent
+pair u v of an entry, one edge u - v^-1.  A multiplier automorphism
+with multiplier m has the side A = {m} + {x : x acts right or conj} +
+{x^-1 : x acts left or conj}, and it changes the total length by
+cap(A) - deg(m), the number of edges leaving A minus the degree of m
+(Whitehead 1936; Roig-Ventura-Weil 2007).  Descent scores the
+multipliers in enumeration order, takes the first that shortens, and
+applies only that one; the orbit closure applies only the multipliers
+that score zero, then every relabeling to what they reach.  Each applied
+move is checked against its predicted length.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -20,11 +32,12 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .stallings import build_subgroup
 from .words import (
@@ -44,6 +57,12 @@ ORBIT_RANK_WARNING = 5
 
 class NotABasisError(ValueError):
     """The given tuple does not freely generate the whole group."""
+
+
+class CertificateError(AssertionError):
+    """A computed answer failed its own re-check.  This signals a defect
+    in the library, never bad input, so it is not a ValueError; unlike a
+    bare assert, the check still runs under `python -O`."""
 
 
 class Action(IntEnum):
@@ -225,38 +244,116 @@ def total_length(ws: Sequence[CyclicWord]) -> int:
     return sum(len(w) for w in ws)
 
 
+def _vertex(l: Letter) -> int:
+    return 2 * l.gen + (l.sign < 0)
+
+
+def _whitehead_graph(
+    ws: Sequence[CyclicWord], rank: int
+) -> tuple[list[int], list[int]]:
+    """The Whitehead graph of the tuple as a flat 2n x 2n matrix of edge
+    counts, with the vertex degrees.  Letter g is vertex 2g and its
+    inverse 2g + 1; each cyclically adjacent pair u v adds an edge
+    u - v^-1."""
+    size = 2 * rank
+    graph = [0] * (size * size)
+    for w in ws:
+        if not w.letters:
+            continue
+        vertices = [_vertex(l) for l in w.letters]
+        u = vertices[-1]
+        for v in vertices:
+            graph[u * size + (v ^ 1)] += 1
+            graph[(v ^ 1) * size + u] += 1
+            u = v
+    degrees = [sum(graph[v * size : (v + 1) * size]) for v in range(size)]
+    return graph, degrees
+
+
+@lru_cache(maxsize=None)
+def _multiplier_cuts(rank: int) -> tuple[tuple[int, ...], tuple[array, ...]]:
+    """Aligned with enumerate_whitehead(rank): the multiplier vertex of
+    each automorphism, and the matrix cells that join its side A to the
+    complement of A, so that the length change is the sum over those
+    cells minus the multiplier's degree.  Compact arrays keep the table
+    at half the size of int tuples."""
+    size = 2 * rank
+    mults, cuts = [], []
+    for t in enumerate_whitehead(rank):
+        assert t.mult is not None and t.actions is not None
+        m = _vertex(t.mult)
+        side = {m}
+        for g, act in enumerate(t.actions):
+            if act in (Action.RIGHT, Action.CONJ):
+                side.add(2 * g)
+            if act in (Action.LEFT, Action.CONJ):
+                side.add(2 * g + 1)
+        rest = [v for v in range(size) if v not in side]
+        mults.append(m)
+        cuts.append(array("H", (a * size + b for a in sorted(side) for b in rest)))
+    return tuple(mults), tuple(cuts)
+
+
+def _length_changes(
+    ws: tuple[CyclicWord, ...], rank: int
+) -> Iterator[tuple[WhiteheadAut, int]]:
+    """Each multiplier automorphism in enumeration order, with the change
+    in total length it would make to the tuple, read off the tuple's
+    Whitehead graph without applying it."""
+    graph, degrees = _whitehead_graph(ws, rank)
+    cell = graph.__getitem__
+    mults, cuts = _multiplier_cuts(rank)
+    for t, m, cut in zip(enumerate_whitehead(rank), mults, cuts):
+        yield t, sum(map(cell, cut)) - degrees[m]
+
+
+def _apply_scored(
+    t: WhiteheadAut, ws: tuple[CyclicWord, ...], predicted: int
+) -> tuple[CyclicWord, ...]:
+    images = tuple(t.apply_to_cyclic(w) for w in ws)
+    if total_length(images) != predicted:
+        raise CertificateError(
+            "Whitehead graph predicted total length %d, applying gave %d"
+            % (predicted, total_length(images))
+        )
+    return images
+
+
 def minimize_tuple(
     ws: Sequence[CyclicWord],
 ) -> tuple[tuple[CyclicWord, ...], list[WhiteheadAut]]:
     """First-improvement descent to the minimal total length in the orbit.
 
+    Each step scores the multiplier automorphisms in enumeration order on
+    the Whitehead graph and applies the first that shortens the tuple.
     Returns the minimal tuple and the automorphisms applied, in order.
     Entry order is preserved throughout.
     """
     current = tuple(ws)
     alphabet = _common_alphabet(current)
-    autos = enumerate_whitehead(alphabet.rank)
     descent: list[WhiteheadAut] = []
-    best = total_length(current)
-    improved = True
-    while improved:
-        improved = False
-        for t in autos:
-            images = tuple(t.apply_to_cyclic(w) for w in current)
-            length = total_length(images)
-            if length < best:
-                current, best = images, length
-                descent.append(t)
-                improved = True
+    length = total_length(current)
+    while True:
+        for t, change in _length_changes(current, alphabet.rank):
+            if change < 0:
                 break
-    return current, descent
+        else:
+            return current, descent
+        length += change
+        current = _apply_scored(t, current, length)
+        descent.append(t)
 
 
 def equal_length_orbit(
     ws: Sequence[CyclicWord],
 ) -> set[tuple[CyclicWord, ...]]:
     """Closure of a minimal tuple under length-preserving Whitehead
-    automorphisms of both kinds.  Contains the tuple itself."""
+    automorphisms of both kinds.  Contains the tuple itself.
+
+    Conjugating a multiplier automorphism by a relabeling gives another
+    multiplier automorphism with the same length change, so the orbit is
+    every relabeling of the closure under length-preserving multipliers.
+    """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
     if alphabet.rank > ORBIT_RANK_WARNING:
@@ -264,18 +361,20 @@ def equal_length_orbit(
             "equal-length orbit over rank %d may be very large" % alphabet.rank,
             stacklevel=2,
         )
-    autos = enumerate_whitehead(alphabet.rank) + enumerate_relabelings(alphabet.rank)
     target = total_length(start)
-    seen = {start}
+    level = {start}
     queue = deque([start])
     while queue:
         current = queue.popleft()
-        for t in autos:
-            images = tuple(t.apply_to_cyclic(w) for w in current)
-            if total_length(images) == target and images not in seen:
-                seen.add(images)
+        for t, change in _length_changes(current, alphabet.rank):
+            if change != 0:
+                continue
+            images = _apply_scored(t, current, target)
+            if images not in level:
+                level.add(images)
                 queue.append(images)
-    return seen
+    relabelings = enumerate_relabelings(alphabet.rank)
+    return {_apply_scored(t, member, target) for member in level for t in relabelings}
 
 
 def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
@@ -647,5 +746,6 @@ def nielsen_decompose(
     moves = _bidirectional_search(key, alphabet.rank, node_budget)
     if moves is None:
         moves = _invert_move_list(_greedy_moves(words))
-    assert apply_nielsen(moves, alphabet) == words
+    if apply_nielsen(moves, alphabet) != words:
+        raise CertificateError("the move list does not replay to the target")
     return moves

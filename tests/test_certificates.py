@@ -1,0 +1,80 @@
+"""The library re-checks its own answers with explicit raises, so the
+checks hold under `python -O`, which strips assert statements.  Each
+check is forced to fail in a fresh optimized interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+SCRIPT = r"""
+import sys
+
+from freegroups import ellipticity, whitehead
+from freegroups.whitehead import CertificateError, WhiteheadAut
+from freegroups.words import Alphabet, parse_cyclic, parse_word
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+A2 = Alphabet.of_rank(2)
+
+
+def expect_certificate_error(name, call):
+    try:
+        call()
+    except CertificateError:
+        print(name, "raised")
+    else:
+        print(name, "passed silently")
+
+
+# Splitting witness: the pulled-back splitting must make both words elliptic.
+real_elliptic = ellipticity.word_elliptic
+ellipticity.word_elliptic = lambda w, s: False
+expect_certificate_error(
+    "words_distance_two",
+    lambda: ellipticity.words_distance_two(parse_cyclic("ab", A2), parse_cyclic("a", A2)),
+)
+ellipticity.word_elliptic = real_elliptic
+
+# Nielsen replay: the move list must rebuild the target basis.
+real_apply = whitehead.apply_nielsen
+whitehead.apply_nielsen = lambda moves, alphabet: whitehead.standard_basis(alphabet)
+expect_certificate_error(
+    "nielsen_decompose",
+    lambda: whitehead.nielsen_decompose([parse_word("ab", A2), parse_word("b", A2)], A2),
+)
+whitehead.apply_nielsen = real_apply
+
+# Whitehead-graph scoring: every applied move must give the predicted length.
+WhiteheadAut.apply_to_cyclic = lambda self, w: parse_cyclic("abb", w.alphabet)
+expect_certificate_error(
+    "minimize_tuple", lambda: whitehead.minimize_tuple((parse_cyclic("ab", A2),))
+)
+expect_certificate_error(
+    "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
+)
+"""
+
+
+def test_certificate_checks_survive_optimized_mode():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "words_distance_two raised",
+        "nielsen_decompose raised",
+        "minimize_tuple raised",
+        "equal_length_orbit raised",
+    ]

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freegroups.stallings import (
     AlphabetMismatchError,
@@ -364,7 +365,27 @@ class TestSpanningTreeBasis:
             )
 
 
+@st.composite
+def subgroup_pairs(draw):
+    alphabet = Alphabet.of_rank(draw(st.sampled_from((2, 3))))
+    letter = st.builds(
+        Letter, st.integers(0, alphabet.rank - 1), st.sampled_from((1, -1))
+    )
+    gens = st.lists(st.lists(letter, min_size=1, max_size=6), min_size=1, max_size=3)
+    return tuple(
+        build_subgroup([free_reduce(w, alphabet) for w in draw(gens)], alphabet)
+        for _ in range(2)
+    )
+
+
 class TestCycles:
+    @settings(max_examples=80, deadline=None)
+    @given(subgroup_pairs())
+    def test_find_cycle_is_none_exactly_on_forests(self, pair):
+        h, k = pair
+        p = product(type_graph(h), type_graph(k))
+        assert (find_cycle(p) is None) == (not has_cycle(p))
+
     def test_has_cycle(self):
         tree = XDigraph(2, 3, ((0, 1, 0), (1, 2, 1)))
         assert not has_cycle(tree)

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from freegroups.whitehead import (
     Action,
@@ -23,6 +24,7 @@ from freegroups.whitehead import (
     same_orbit,
     standard_basis,
     total_length,
+    _length_changes,
 )
 from freegroups.words import (
     Alphabet,
@@ -90,6 +92,55 @@ def exhaustive_min_length(w, cap=None):
                 queue.append(image)
                 best = min(best, len(image))
     return best
+
+
+@st.composite
+def cyclic_tuples(draw, ranks=(2, 3, 4), max_words=3, max_len=8):
+    rank = draw(st.sampled_from(ranks))
+    alphabet = Alphabet.of_rank(rank)
+    letter = st.builds(Letter, st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    words = draw(
+        st.lists(st.lists(letter, min_size=1, max_size=max_len), min_size=1, max_size=max_words)
+    )
+    return tuple(CyclicWord.from_word(free_reduce(w, alphabet)) for w in words)
+
+
+def brute_force_minimize(ws):
+    # Reference descent: rewrite the whole tuple under each multiplier in
+    # enumeration order and take the first that shortens it.
+    current = tuple(ws)
+    autos = enumerate_whitehead(current[0].alphabet.rank)
+    descent = []
+    improved = True
+    while improved:
+        improved = False
+        for t in autos:
+            images = tuple(t.apply_to_cyclic(w) for w in current)
+            if total_length(images) < total_length(current):
+                current = images
+                descent.append(t)
+                improved = True
+                break
+    return current, descent
+
+
+def brute_force_orbit(ws):
+    # Reference closure: every multiplier and relabeling, kept when the
+    # total length is unchanged.
+    start = tuple(ws)
+    rank = start[0].alphabet.rank
+    autos = enumerate_whitehead(rank) + enumerate_relabelings(rank)
+    target = total_length(start)
+    seen = {start}
+    queue = [start]
+    while queue:
+        current = queue.pop()
+        for t in autos:
+            images = tuple(t.apply_to_cyclic(w) for w in current)
+            if total_length(images) == target and images not in seen:
+                seen.add(images)
+                queue.append(images)
+    return seen
 
 
 class TestEnumeration:
@@ -223,6 +274,57 @@ class TestMinimize:
         for t in descent:
             replay = tuple(t.apply_to_cyclic(x) for x in replay)
         assert replay == minimal
+
+
+class TestWhiteheadGraph:
+    @settings(max_examples=40, deadline=None)
+    @given(cyclic_tuples())
+    def test_predicted_change_matches_application(self, ws):
+        before = total_length(ws)
+        changes = list(_length_changes(ws, ws[0].alphabet.rank))
+        assert [t for t, _ in changes] == list(enumerate_whitehead(ws[0].alphabet.rank))
+        for t, change in changes:
+            assert total_length([t.apply_to_cyclic(w) for w in ws]) - before == change
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_tuples())
+    def test_descent_matches_brute_force(self, ws):
+        assert minimize_tuple(ws) == brute_force_minimize(ws)
+
+    @settings(max_examples=25, deadline=None)
+    @given(cyclic_tuples(ranks=(2, 3), max_words=2, max_len=3))
+    def test_orbit_matches_brute_force(self, ws):
+        minimal, _ = minimize_tuple(ws)
+        # The oracle costs seconds on rank-3 orbits of longer tuples.
+        assume(minimal[0].alphabet.rank == 2 or total_length(minimal) <= 4)
+        assert equal_length_orbit(minimal) == brute_force_orbit(minimal)
+
+
+class TestDescentWork:
+    # (rank, tuple, descent length); the last is a generator image.
+    CASES = [
+        (3, "abAB", 0),
+        (4, "abcdABCD", 0),
+        (4, "abcABC aab", 3),
+        (3, "abcab bc", 4),
+        (5, "abcABC deDE abd", 2),
+        (5, "aeDEbcdcdEbcdcedcdB", 17),
+    ]
+
+    @pytest.mark.parametrize("rank,texts,steps", CASES)
+    def test_applies_only_the_moves_taken(self, monkeypatch, rank, texts, steps):
+        calls = []
+        original = WhiteheadAut.apply_to_cyclic
+
+        def counting(self, w):
+            calls.append(self)
+            return original(self, w)
+
+        monkeypatch.setattr(WhiteheadAut, "apply_to_cyclic", counting)
+        ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
+        _, descent = minimize_tuple(ws)
+        assert len(descent) == steps
+        assert len(calls) == len(ws) * len(descent)
 
 
 class TestOrbits:

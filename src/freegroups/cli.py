@@ -15,6 +15,7 @@ import io
 import string
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import lru_cache
 
 from .ellipticity import (
     nielsen_bound,
@@ -49,7 +50,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError("%serror: %s" % (self.format_usage(), message))
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args keeps no state between calls.
     parser = _Parser(prog="fgt", description="free group toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True

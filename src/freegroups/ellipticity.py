@@ -23,6 +23,7 @@ from typing import Sequence
 
 from .stallings import (
     Subgroup,
+    _is_rose,
     build_subgroup,
     contains_conjugate,
     find_cycle,
@@ -152,12 +153,7 @@ def verify_splitting(
             "basis sizes %d + %d do not sum to the rank %d"
             % (len(a), len(b), alphabet.rank)
         )
-    whole = build_subgroup(list(a + b), alphabet)
-    rose = (
-        whole.graph.vertex_count == 1
-        and sorted(l for _, _, l in whole.graph.edges) == list(range(alphabet.rank))
-    )
-    if not rose:
+    if not _is_rose(build_subgroup(list(a + b), alphabet)):
         raise DoesNotGenerateError("combined basis words do not generate F")
     ra = build_subgroup(list(a), alphabet).free_rank
     rb = build_subgroup(list(b), alphabet).free_rank

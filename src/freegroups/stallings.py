@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .words import (
@@ -23,7 +24,7 @@ from .words import (
     AlphabetMismatchError,
     Letter,
     Word,
-    cyclic_reduce,
+    _conjugator_length,
     free_reduce,
 )
 
@@ -52,7 +53,7 @@ class XDigraph(object):
     base: int | None = None
 
     def __post_init__(self) -> None:
-        edges = tuple(sorted((tuple(e) for e in self.edges), key=lambda e: (e[0], e[2], e[1])))
+        edges = tuple(sorted(map(tuple, self.edges), key=itemgetter(0, 2, 1)))
         object.__setattr__(self, "edges", edges)
         for o, t, l in edges:
             if not (0 <= o < self.vertex_count and 0 <= t < self.vertex_count):
@@ -97,41 +98,46 @@ class XDigraph(object):
         """Follow one letter from v (inverse letters walk edges backwards)."""
         return self._steps.get((v, letter.gen, letter.sign))
 
-    def arcs_from(self, v: int) -> list[tuple[Letter, int, int]]:
+    @cached_property
+    def _arcs(self) -> tuple[tuple[tuple[Letter, int, int], ...], ...]:
+        # Per vertex, its arcs sorted by (letter, head, edge index).
+        letters = [Letter(k >> 1, -1 if k & 1 else 1) for k in range(2 * self.rank)]
+        flat = []
+        for eid, (o, t, l) in enumerate(self.edges):
+            flat.append((o, 2 * l, t, eid))
+            flat.append((t, 2 * l + 1, o, eid))
+        flat.sort()
+        lists: list[list[tuple[Letter, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for v, k, head, eid in flat:
+            lists[v].append((letters[k], head, eid))
+        return tuple(map(tuple, lists))
+
+    def arcs_from(self, v: int) -> tuple[tuple[Letter, int, int], ...]:
         """All arcs leaving v in the symmetrized graph, sorted by letter.
 
         Returns (letter, head, edge index) triples; a loop contributes
-        one positive and one negative arc.
+        one positive and one negative arc.  The arcs of every vertex are
+        built together on first use and shared by later calls.
         """
-        out = []
-        for eid, (o, t, l) in enumerate(self.edges):
-            if o == v:
-                out.append((Letter(l, 1), t, eid))
-            if t == v:
-                out.append((Letter(l, -1), o, eid))
-        out.sort(key=lambda a: (a[0].key, a[1], a[2]))
-        return out
+        return self._arcs[v]
 
     def components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
-        neighbors: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for o, t, _ in self.edges:
-            neighbors[o].append(t)
-            neighbors[t].append(o)
+        arcs = self._arcs
         comps = []
         for start in range(self.vertex_count):
             if seen[start]:
                 continue
             comp = [start]
             seen[start] = True
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for w in neighbors[v]:
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for _, w, _ in arcs[v]:
                     if not seen[w]:
                         seen[w] = True
                         comp.append(w)
-                        queue.append(w)
+                        stack.append(w)
             comps.append(sorted(comp))
         return comps
 
@@ -164,47 +170,92 @@ class _UnionFind(object):
             self.parent[v], v = root, self.parent[v]
         return root
 
-    def union(self, a: int, b: int) -> None:
+    def union(self, a: int, b: int) -> tuple[int, int] | None:
+        """Join the classes of a and b; return (leader, absorbed root), or
+        None if they were one class already."""
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return
+            return None
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
+        return ra, rb
 
 
 def fold(g: XDigraph) -> XDigraph:
     """Merge edges with equal label and a shared endpoint until folded.
 
-    Identifying the two far endpoints of a same-labeled pair can create
-    new coincidences, so scan to a fixpoint.  The result is independent
-    of merge order; the scan order below just fixes the vertex
-    numbering, which is by first appearance (smallest original index in
-    each merged class).
+    Worklist folding (Touikan 2006; Kapovich-Myasnikov 2002): every
+    vertex class keeps an out-table and an in-table label -> vertex, and
+    a stack holds the vertex pairs still to be identified.  A union
+    moves the absorbed class's tables into the leader's and pushes each
+    label clash this creates, so a merge costs O(rank) and the whole
+    fold is near-linear.  The folded quotient does not depend on merge
+    order; vertices are numbered by their class's smallest original
+    index.
     """
     uf = _UnionFind(g.vertex_count)
-    while True:
-        out_of: dict[tuple[int, int], int] = {}
-        in_of: dict[tuple[int, int], int] = {}
-        merge: tuple[int, int] | None = None
-        for o, t, l in g.edges:
-            ro, rt = uf.find(o), uf.find(t)
-            if (ro, l) in out_of and out_of[(ro, l)] != rt:
-                merge = (out_of[(ro, l)], rt)
-                break
-            out_of[(ro, l)] = rt
-            if (rt, l) in in_of and in_of[(rt, l)] != ro:
-                merge = (in_of[(rt, l)], ro)
-                break
-            in_of[(rt, l)] = ro
-        if merge is None:
-            break
-        uf.union(*merge)
-    reps = sorted({uf.find(v) for v in range(g.vertex_count)})
+    tables: tuple[list, list] = (
+        [{} for _ in range(g.vertex_count)],  # out: label -> terminus
+        [{} for _ in range(g.vertex_count)],  # in: label -> origin
+    )
+    out, inn = tables
+    pending: list[tuple[int, int]] = []
+    for o, t, l in g.edges:
+        far = out[o].setdefault(l, t)
+        if far != t:
+            pending.append((far, t))
+        far = inn[t].setdefault(l, o)
+        if far != o:
+            pending.append((far, o))
+    while pending:
+        merged = uf.union(*pending.pop())
+        if merged is None:
+            continue
+        leader, absorbed = merged
+        for table in tables:
+            mine = table[leader]
+            for l, v in table[absorbed].items():
+                far = mine.setdefault(l, v)
+                if far != v:
+                    pending.append((far, v))
+            table[absorbed] = None
+    leader = [uf.find(v) for v in range(g.vertex_count)]
+    reps = sorted(set(leader))
     index = {r: i for i, r in enumerate(reps)}
-    edges = {(index[uf.find(o)], index[uf.find(t)], l) for o, t, l in g.edges}
-    base = index[uf.find(g.base)] if g.base is not None else None
+    new = [index[r] for r in leader]
+    edges = {(new[o], new[t], l) for o, t, l in g.edges}
+    base = new[g.base] if g.base is not None else None
     return XDigraph(g.rank, len(reps), tuple(edges), base)
+
+
+def _peel(g: XDigraph, keep: int | None) -> list[bool]:
+    """Survival flags after repeatedly removing every vertex of degree at
+    most one other than `keep`.
+
+    The removals do not depend on their order.  A worklist holds the
+    vertices to remove; removing one deletes its remaining edges and
+    adds each neighbour whose degree falls to one, so every edge is
+    deleted, and every degree decremented, at most once.
+    """
+    deg = list(g.degrees)
+    arcs = g._arcs
+    alive = [True] * g.vertex_count
+    work = [u for u, d in enumerate(deg) if d <= 1 and u != keep]
+    for u in work:
+        alive[u] = False
+    deleted = [False] * len(g.edges)
+    while work:
+        # A vertex with a loop keeps degree >= 2, so it is never removed.
+        for _, w, eid in arcs[work.pop()]:
+            if deleted[eid]:
+                continue
+            deleted[eid] = True
+            deg[w] -= 1
+            if deg[w] <= 1 and alive[w] and w != keep:
+                alive[w] = False
+                work.append(w)
+    return alive
 
 
 def core(g: XDigraph, v: int) -> XDigraph:
@@ -212,26 +263,21 @@ def core(g: XDigraph, v: int) -> XDigraph:
 
     For a folded graph this is the connected component of v with
     degree-at-most-one vertices other than v repeatedly peeled off.
-    The base of the result is v.
+    Peeling never disconnects what remains, so the component is found
+    among the survivors.  The base of the result is v.
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError("core base %d out of range" % v)
-    alive = set(range(g.vertex_count))
-    while True:
-        deg = {u: 0 for u in alive}
-        for o, t, _ in g.edges:
-            if o in alive and t in alive:
-                deg[o] += 1
-                deg[t] += 1
-        drop = [u for u in alive if u != v and deg[u] <= 1]
-        if not drop:
-            break
-        alive.difference_update(drop)
-    trimmed = _restrict(g, alive, v)
-    for comp in trimmed.components():
-        if trimmed.base in comp:
-            return _restrict(trimmed, comp, trimmed.base)
-    raise AssertionError("base lost its component")
+    alive = _peel(g, v)
+    arcs = g._arcs
+    comp = {v}
+    stack = [v]
+    while stack:
+        for _, w, _ in arcs[stack.pop()]:
+            if alive[w] and w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return _restrict(g, comp, v)
 
 
 @dataclass(frozen=True)
@@ -257,14 +303,6 @@ class Subgroup(object):
             raise ValueError("subgroup graph must be a core graph at its base")
 
     @property
-    def folded(self) -> bool:
-        return True
-
-    @property
-    def is_core(self) -> bool:
-        return True
-
-    @property
     def base(self) -> int:
         return self.graph.base  # type: ignore[return-value]
 
@@ -285,6 +323,12 @@ def _is_core(g: XDigraph) -> bool:
     if len(g.components()) != 1:
         return False
     return all(d >= 2 for v, d in enumerate(g.degrees) if v != g.base)
+
+
+def _is_rose(h: Subgroup) -> bool:
+    """Is h the whole group?  Its graph is then the rose: one vertex with
+    a loop per generator (folding makes the loop labels distinct)."""
+    return h.graph.vertex_count == 1 and len(h.graph.edges) == h.graph.rank
 
 
 def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
@@ -327,60 +371,36 @@ def contains(h: Subgroup, w: Word) -> bool:
 
 
 def contains_conjugate(h: Subgroup, w: Word) -> bool:
-    """Is some conjugate of w an element of h?
-
-    A conjugate of w lands in h exactly when a cyclic rotation of the
-    cyclic reduction of w closes up at some vertex of the core graph.
-    """
-    if w.alphabet != h.alphabet:
-        raise AlphabetMismatchError("word over a different alphabet")
-    cyc, _ = cyclic_reduce(w)
-    if cyc.is_trivial:
-        return True
-    g = h.graph
-    for rot in cyc.rotations():
-        for u in range(g.vertex_count):
-            v: int | None = u
-            for letter in rot:
-                v = g.step(v, letter)  # type: ignore[arg-type]
-                if v is None:
-                    break
-            if v == u:
-                return True
-    return False
+    """Is some conjugate of w an element of h?"""
+    return conjugator_into(h, w) is not None
 
 
 def conjugator_into(h: Subgroup, w: Word) -> "Word | None":
     """A word x with x w x^-1 in h, or None if no conjugate of w lies in h.
 
-    Same search as contains_conjugate, but the closing vertex and the
-    rotation offset are kept so the conjugator can be assembled from the
-    base path.
+    Write w = s r s^-1 with r cyclically reduced.  A conjugate of w lies
+    in h exactly when r closes up at some vertex u of the core graph:
+    if a rotation of r closes at u, r itself closes at the vertex the
+    rotated-off part leads to, so one pass over the vertices suffices.
+    The conjugator is the base-to-u path label followed by s^-1.
     """
     if w.alphabet != h.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
     letters = w.letters
-    i, j = 0, len(letters)
-    while i < j - 1 and letters[i] == letters[j - 1].inverse():
-        i += 1
-        j -= 1
-    strip = Word(w.alphabet, letters[:i])  # w = strip * r0 * strip^-1
-    r0 = letters[i:j]
-    if not r0:
+    i = _conjugator_length(letters)
+    strip = Word(w.alphabet, letters[:i])
+    r = letters[i : len(letters) - i]
+    if not r:
         return Word(w.alphabet)
     g = h.graph
-    for r in range(len(r0)):
-        rot = r0[r:] + r0[:r]  # rot = prefix^-1 * r0 * prefix
-        prefix = Word(w.alphabet, r0[:r])
-        for u in range(g.vertex_count):
-            v: int | None = u
-            for letter in rot:
-                v = g.step(v, letter)  # type: ignore[arg-type]
-                if v is None:
-                    break
-            if v == u:
-                p = path_word(g, h.base, u, h.alphabet)
-                return p * ~prefix * ~strip
+    for u in range(g.vertex_count):
+        v: int | None = u
+        for letter in r:
+            v = g.step(v, letter)  # type: ignore[arg-type]
+            if v is None:
+                break
+        if v == u:
+            return path_word(g, h.base, u, h.alphabet) * ~strip
     return None
 
 
@@ -394,59 +414,66 @@ def type_graph(h: Subgroup) -> XDigraph:
     g = h.graph
     if g.degrees[h.base] != 1:
         return g.with_base(None)
-    alive = set(range(g.vertex_count))
-    while True:
-        deg = {u: 0 for u in alive}
-        for o, t, _ in g.edges:
-            if o in alive and t in alive:
-                deg[o] += 1
-                deg[t] += 1
-        drop = [u for u in alive if deg[u] <= 1]
-        if not drop:
-            break
-        alive.difference_update(drop)
-    return _restrict(g, alive, None)
+    alive = _peel(g, None)
+    return _restrict(g, (u for u in range(g.vertex_count) if alive[u]), None)
 
 
 def product(g: XDigraph, h: XDigraph) -> XDigraph:
     """The label-matched product: edges ((o,o'),(t,t'),l) for every pair
     of same-labeled edges.  Only vertex pairs incident to a product edge
-    are materialized."""
-    return _product(g, h, ())[0]
-
-
-def _product(
-    g: XDigraph, h: XDigraph, designated: tuple[tuple[int, int], ...]
-) -> tuple[XDigraph, dict[tuple[int, int], int]]:
+    are materialized, numbered in order of first appearance."""
     if g.rank != h.rank:
         raise ValueError("product of graphs over different ranks")
     index: dict[tuple[int, int], int] = {}
-
-    def at(pair: tuple[int, int]) -> int:
-        if pair not in index:
-            index[pair] = len(index)
-        return index[pair]
-
-    for pair in designated:
-        at(pair)
     by_label: dict[int, list[tuple[int, int]]] = {}
     for o, t, l in h.edges:
         by_label.setdefault(l, []).append((o, t))
     edges = []
     for o1, t1, l in g.edges:
         for o2, t2 in by_label.get(l, ()):
-            edges.append((at((o1, o2)), at((t1, t2)), l))
-    base = index[designated[0]] if designated else None
-    return XDigraph(g.rank, len(index), tuple(edges), base), index
+            origin = index.setdefault((o1, o2), len(index))
+            edges.append((origin, index.setdefault((t1, t2), len(index)), l))
+    return XDigraph(g.rank, len(index), tuple(edges))
 
 
 def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
-    """The subgroup on the core of the product at the pair of bases."""
+    """The subgroup on the core of the product at the pair of bases.
+
+    Only the base pair's component of the product matters, so it is
+    found by a search that steps both folded graphs in lockstep.  Its
+    pairs are numbered as the full product numbers them, with the base
+    pair first.  In a folded graph an edge is fixed by its origin and
+    label, and edges are sorted by (origin, label), so the product
+    meets the edge made of h's (o1, l) and k's (o2, l) in the order of
+    (o1, l, o2).  A pair comes at the first of its edges, origin before
+    terminus.
+    """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups over different alphabets")
-    prod, _ = _product(h.graph, k.graph, ((h.base, k.base),))
-    assert prod.base is not None
-    return Subgroup(core(prod, prod.base), h.alphabet)
+    steps1, steps2 = h.graph._steps, k.graph._steps
+    start = (h.base, k.base)
+    # pair -> its first touch (o1, l, o2, end); the base pair sorts first
+    first: dict[tuple[int, int], tuple[int, ...]] = {start: (-1,)}
+    edges: dict[tuple[int, int, int], tuple[int, int]] = {}  # (o1, l, o2) -> terminus
+    stack = [start]
+    while stack:
+        pair = u1, u2 = stack.pop()
+        for l in range(h.alphabet.rank):
+            for sign in (1, -1):
+                far = (steps1.get((u1, l, sign)), steps2.get((u2, l, sign)))
+                if None in far:
+                    continue
+                origin, terminus = (pair, far) if sign > 0 else (far, pair)
+                key = (origin[0], l, origin[1])
+                edges[key] = terminus
+                for other, touch in ((origin, key + (0,)), (terminus, key + (1,))):
+                    if other not in first:
+                        stack.append(other)
+                    first[other] = min(first.get(other, touch), touch)
+    index = {p: i for i, p in enumerate(sorted(first, key=first.__getitem__))}
+    edge_list = tuple((index[(o1, o2)], index[t], l) for (o1, l, o2), t in edges.items())
+    prod = XDigraph(h.alphabet.rank, len(index), edge_list, 0)
+    return Subgroup(core(prod, 0), h.alphabet)
 
 
 def conjugate_subgroups(h: Subgroup, k: Subgroup) -> bool:

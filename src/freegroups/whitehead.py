@@ -39,7 +39,7 @@ from enum import IntEnum
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .stallings import build_subgroup
+from .stallings import _is_rose, build_subgroup
 from .words import (
     Alphabet,
     AlphabetMismatchError,
@@ -307,13 +307,26 @@ def _length_changes(
         yield t, sum(map(cell, cut)) - degrees[m]
 
 
+def _relabel(images: Sequence[Letter], w: CyclicWord) -> CyclicWord:
+    """The image of w under the relabeling with these generator images.
+    A signed permutation cancels no letter, so the mapped letters are
+    cyclically reduced already and only need their least rotation."""
+    return CyclicWord(
+        w.alphabet,
+        tuple(Letter(images[l.gen].gen, images[l.gen].sign * l.sign) for l in w.letters),
+    )
+
+
 def _apply_scored(
     t: WhiteheadAut, ws: tuple[CyclicWord, ...], predicted: int
 ) -> tuple[CyclicWord, ...]:
-    images = tuple(t.apply_to_cyclic(w) for w in ws)
+    if t.images is not None:
+        images = tuple(_relabel(t.images, w) for w in ws)
+    else:
+        images = tuple(t.apply_to_cyclic(w) for w in ws)
     if total_length(images) != predicted:
         raise CertificateError(
-            "Whitehead graph predicted total length %d, applying gave %d"
+            "Whitehead move predicted total length %d, applying gave %d"
             % (predicted, total_length(images))
         )
     return images
@@ -353,6 +366,8 @@ def equal_length_orbit(
     Conjugating a multiplier automorphism by a relabeling gives another
     multiplier automorphism with the same length change, so the orbit is
     every relabeling of the closure under length-preserving multipliers.
+    Relabelings map letters one to one and skip free and cyclic
+    reduction.
     """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
@@ -529,10 +544,7 @@ def moves_apply_word_inverse(
 def _is_basis(target: Sequence[Word], alphabet: Alphabet) -> bool:
     # n words generate F(X) iff their Stallings graph is the full rose;
     # since free groups are Hopfian, generation by n words makes a basis.
-    h = build_subgroup(list(target), alphabet)
-    if h.graph.vertex_count != 1 or len(h.graph.edges) != alphabet.rank:
-        return False
-    return sorted(l for _, _, l in h.graph.edges) == list(range(alphabet.rank))
+    return _is_rose(build_subgroup(list(target), alphabet))
 
 
 _KeyWord = tuple[tuple[int, int], ...]

@@ -188,13 +188,29 @@ class CyclicWord(object):
 
 
 def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    # Naive quadratic scan; words at this scale are short.
+    """The lexicographically least rotation, by Booth's O(n) algorithm
+    (Booth 1980) on the integer keys 2 * gen + (1 for an inverse), which
+    order letters as Letter.key does."""
     n = len(letters)
     if n <= 1:
         return letters
-    keys = [l.key for l in letters]
-    best = min(range(n), key=lambda r: [keys[(r + i) % n] for i in range(n)])
-    return letters[best:] + letters[:best]
+    s = [2 * l.gen + (l.sign < 0) for l in letters] * 2
+    failure = [-1] * (2 * n)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, 2 * n):
+        c = s[j]
+        i = failure[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return letters[k:] + letters[:k]
 
 
 def free_reduce(letters: Iterable[Letter], alphabet: Alphabet) -> Word:
@@ -216,17 +232,24 @@ def invert(u: Word) -> Word:
     return Word(u.alphabet, tuple(l.inverse() for l in reversed(u.letters)))
 
 
+def _conjugator_length(letters: tuple[Letter, ...]) -> int:
+    """The length of the shortest x with letters = x c x^-1 and c
+    cyclically reduced, for freely reduced letters."""
+    i, j = 0, len(letters)
+    while i < j - 1 and letters[i] == letters[j - 1].inverse():
+        i += 1
+        j -= 1
+    return i
+
+
 def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
     """Split w as x * c * x^-1 with c cyclically reduced and x minimal.
 
     Returns (cyclic word of c, conjugator x).
     """
     letters = w.letters
-    i, j = 0, len(letters)
-    while i < j - 1 and letters[i] == letters[j - 1].inverse():
-        i += 1
-        j -= 1
-    return CyclicWord(w.alphabet, letters[i:j]), Word(w.alphabet, letters[:i])
+    i = _conjugator_length(letters)
+    return CyclicWord(w.alphabet, letters[i : len(letters) - i]), Word(w.alphabet, letters[:i])
 
 
 def letter_support(w: "Word | CyclicWord") -> frozenset[int]:

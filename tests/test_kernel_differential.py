@@ -1,0 +1,208 @@
+"""Each fast path of the Stallings kernel, the conjugacy search, the least
+rotation and the orbit's relabeling pass returns exactly what the code it
+replaced returns (the oracles in `kernel_oracles.py`)."""
+
+import kernel_oracles as oracle
+from hypothesis import given, settings, strategies as st
+
+from freegroups.cli import run
+from freegroups.stallings import (
+    XDigraph,
+    build_subgroup,
+    conjugator_into,
+    contains_conjugate,
+    core,
+    fold,
+    intersect,
+    product,
+    type_graph,
+)
+from freegroups.whitehead import _relabel, enumerate_relabelings
+from freegroups.words import Alphabet, CyclicWord, Letter, _least_rotation, free_reduce
+
+FAMILIES = ("random", "powers", "conjugator", "prefix", "periodic", "tiny")
+
+
+def letters(rank):
+    return st.builds(Letter, st.integers(0, rank - 1), st.sampled_from((1, -1)))
+
+
+@st.composite
+def generators(draw, alphabet):
+    """Generator lists from the families that stress folding: random words,
+    the heavy x^n x^(n+1), long conjugators around short words, a long
+    shared prefix, periodic words (ab)^k, and one-letter or empty words."""
+    rank = alphabet.rank
+    word = st.lists(letters(rank), max_size=8)
+    family = draw(st.sampled_from(FAMILIES))
+    if family == "random":
+        gens = draw(st.lists(word, min_size=1, max_size=3))
+    elif family == "powers":
+        x = [draw(letters(rank))]
+        n = draw(st.integers(1, 40))
+        gens = [x * n, x * (n + 1)] + draw(st.lists(word, max_size=1))
+    elif family == "conjugator":
+        c = draw(st.lists(letters(rank), min_size=5, max_size=30))
+        inverse = [l.inverse() for l in reversed(c)]
+        gens = [c + w + inverse for w in draw(st.lists(word, min_size=1, max_size=3))]
+    elif family == "prefix":
+        p = draw(st.lists(letters(rank), min_size=5, max_size=30))
+        gens = [p + w for w in draw(st.lists(word, min_size=1, max_size=3))]
+    elif family == "periodic":
+        u = draw(st.lists(letters(rank), min_size=1, max_size=3))
+        gens = [u * draw(st.integers(1, 12)) for _ in range(draw(st.integers(1, 2)))]
+    else:
+        gens = draw(st.lists(st.lists(letters(rank), max_size=1), min_size=1, max_size=3))
+    return [free_reduce(g, alphabet) for g in gens]
+
+
+@st.composite
+def subgroups(draw):
+    alphabet = Alphabet.of_rank(draw(st.sampled_from((1, 2, 3))))
+    return build_subgroup(draw(generators(alphabet)), alphabet)
+
+
+@st.composite
+def subgroup_pairs(draw):
+    alphabet = Alphabet.of_rank(draw(st.sampled_from((1, 2, 3))))
+    return tuple(build_subgroup(draw(generators(alphabet)), alphabet) for _ in range(2))
+
+
+@st.composite
+def digraphs(draw):
+    """Arbitrary labeled digraphs: loops, parallel edges, isolated vertices
+    and several components, with or without a base."""
+    rank = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, st.integers(0, rank - 1)), max_size=20))
+    return XDigraph(rank, n, tuple(edges), draw(st.none() | vertex))
+
+
+def wedge(gens, alphabet):
+    """The bouquet of subdivided generator loops that build_subgroup folds."""
+    edges, n = [], 1
+    for w in gens:
+        prev = 0
+        for i, l in enumerate(w.letters):
+            nxt = 0 if i == len(w) - 1 else n
+            n += nxt != 0
+            edges.append((prev, nxt, l.gen) if l.sign > 0 else (nxt, prev, l.gen))
+            prev = nxt
+    return XDigraph(alphabet.rank, n, tuple(edges), 0)
+
+
+class TestFold:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_arbitrary_digraphs(self, g):
+        assert fold(g) == oracle.fold(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((1, 2, 3)).flatmap(
+        lambda r: st.tuples(st.just(Alphabet.of_rank(r)), generators(Alphabet.of_rank(r)))))
+    def test_generator_wedges(self, case):
+        alphabet, gens = case
+        g = wedge(gens, alphabet)
+        assert fold(g) == oracle.fold(g)
+        folded = oracle.fold(g)
+        assert build_subgroup(gens, alphabet).graph == oracle.core(folded, folded.base)
+
+
+class TestPeeling:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs(), st.integers(0, 9))
+    def test_core_of_arbitrary_digraphs(self, g, v):
+        v %= g.vertex_count
+        assert core(g, v) == oracle.core(g, v)
+
+    @settings(max_examples=150, deadline=None)
+    @given(subgroups())
+    def test_type_graph(self, h):
+        assert type_graph(h) == oracle.type_graph(h)
+
+
+class TestProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(subgroup_pairs())
+    def test_intersect_is_core_of_full_product(self, pair):
+        h, k = pair
+        assert intersect(h, k).graph == oracle.intersect(h, k).graph
+
+    @settings(max_examples=100, deadline=None)
+    @given(subgroup_pairs())
+    def test_product(self, pair):
+        g, h = (x.graph for x in pair)
+        assert product(g, h) == oracle.product(g, h)
+
+
+class TestArcs:
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_arcs_from(self, g):
+        for v in range(g.vertex_count):
+            assert g.arcs_from(v) == tuple(oracle.arcs_from(g, v))
+
+
+class TestConjugacySearch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_conjugator_into(self, data):
+        alphabet = Alphabet.of_rank(data.draw(st.sampled_from((1, 2, 3))))
+        gens = data.draw(generators(alphabet))
+        h = build_subgroup(gens, alphabet)
+        seq = data.draw(st.lists(letters(alphabet.rank), max_size=10))
+        if data.draw(st.booleans()):
+            # A conjugate of a rotated generator: the answer is yes, and
+            # the conjugator has to undo both.
+            g = data.draw(st.sampled_from(gens)).letters
+            r = data.draw(st.integers(0, len(g)))
+            seq = seq + list(g[r:] + g[:r]) + [l.inverse() for l in reversed(seq)]
+        w = free_reduce(seq, alphabet)
+        expected = oracle.conjugator_into(h, w)
+        assert conjugator_into(h, w) == expected
+        assert contains_conjugate(h, w) == (expected is not None)
+
+
+class TestLeastRotation:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda r: st.lists(letters(r), max_size=30)))
+    def test_arbitrary_sequences(self, seq):
+        assert _least_rotation(tuple(seq)) == oracle.least_rotation(tuple(seq))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda r: st.lists(letters(r), min_size=1, max_size=4)),
+        st.integers(1, 10),
+        st.integers(0, 40),
+    )
+    def test_periodic_sequences(self, unit, k, shift):
+        seq = tuple(unit * k)
+        seq = seq[shift % len(seq):] + seq[: shift % len(seq)]
+        assert _least_rotation(seq) == oracle.least_rotation(seq)
+
+
+class TestRelabeling:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from((2, 3)).flatmap(
+        lambda r: st.lists(letters(r), max_size=12).map(lambda s: (r, s))))
+    def test_matches_apply_to_cyclic(self, case):
+        rank, seq = case
+        alphabet = Alphabet.of_rank(rank)
+        w = CyclicWord.from_word(free_reduce(seq, alphabet))
+        for t in enumerate_relabelings(rank):
+            assert _relabel(t.images, w) == t.apply_to_cyclic(w)
+
+
+def test_cli_usage_error_between_valid_calls():
+    # The parser is built once per process, so one call must not leak
+    # state into the next.
+    valid = ["graph", "-n", "2", "aab bab"]
+    first = run(valid)
+    assert first[0] == 0 and first[1]
+    code, out, err = run(["graph", "-n", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: fgt graph") and "error:" in err
+    assert run(valid) == first
+    assert run(["graph", "-n", "2"]) == (code, out, err)
+    assert run(["--help"]) == run(["--help"])

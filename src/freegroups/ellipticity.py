@@ -17,12 +17,13 @@ splitting distance, where m counts elementary moves relating the bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
 from .stallings import (
     Subgroup,
+    XDigraph,
     _is_rose,
     build_subgroup,
     contains_conjugate,
@@ -78,13 +79,17 @@ class FreeSplitting(object):
     """F = A * B presented by a basis of each factor.
 
     The `verified` flag is the certificate issued by verify_splitting;
-    the deciders refuse splittings without it.
+    the deciders refuse splittings without it.  Each factor's subgroup
+    and type graph are built on first use and kept; the caches take no
+    part in equality, hashing or the repr.
     """
 
     alphabet: Alphabet
     basis_a: tuple[Word, ...]
     basis_b: tuple[Word, ...]
     verified: bool = False
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _type_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def combined(self) -> tuple[Word, ...]:
@@ -94,7 +99,14 @@ class FreeSplitting(object):
         return self.basis_a if which == 0 else self.basis_b
 
     def factor(self, which: int) -> Subgroup:
-        return build_subgroup(list(self.basis(which)), self.alphabet)
+        if which not in self._factors:
+            self._factors[which] = build_subgroup(list(self.basis(which)), self.alphabet)
+        return self._factors[which]
+
+    def _type_graph(self, which: int) -> XDigraph:
+        if which not in self._type_graphs:
+            self._type_graphs[which] = type_graph(self.factor(which))
+        return self._type_graphs[which]
 
     def __str__(self) -> str:
         return "split %s | %s" % (
@@ -136,9 +148,13 @@ def verify_splitting(
 ) -> FreeSplitting:
     """Certify that the two word lists present a free splitting F = A * B.
 
-    The combined words must form a basis of F (their graph folds to the
-    rose on the alphabet) and the factor ranks must add up to the total;
-    rank additivity then forces the free product.
+    The basis sizes must add up to the rank n, and the combined words
+    must generate F: their graph folds to the rose on the alphabet.  That
+    suffices.  F_n is Hopfian, so n words that generate it form a basis,
+    and any subset of a basis freely generates the subgroup it spans.
+    So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
+    Only the combined graph is built; the factor graphs are built when a
+    decider first needs them.
     """
     a, b = tuple(basis_a), tuple(basis_b)
     if not a or not b:
@@ -155,13 +171,6 @@ def verify_splitting(
         )
     if not _is_rose(build_subgroup(list(a + b), alphabet)):
         raise DoesNotGenerateError("combined basis words do not generate F")
-    ra = build_subgroup(list(a), alphabet).free_rank
-    rb = build_subgroup(list(b), alphabet).free_rank
-    if ra != len(a) or rb != len(b):
-        raise RankMismatchError(
-            "factor ranks %d, %d do not match basis sizes %d, %d"
-            % (ra, rb, len(a), len(b))
-        )
     return FreeSplitting(alphabet, a, b, verified=True)
 
 
@@ -192,7 +201,7 @@ def splittings_distance_two(
     _require_verified(s2)
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
-        prod = product(type_graph(s1.factor(i)), type_graph(s2.factor(j)))
+        prod = product(s1._type_graph(i), s2._type_graph(j))
         found = find_cycle(prod)
         if found is not None:
             letters, _ = found

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -101,7 +101,7 @@ class XDigraph(object):
     @cached_property
     def _arcs(self) -> tuple[tuple[tuple[Letter, int, int], ...], ...]:
         # Per vertex, its arcs sorted by (letter, head, edge index).
-        letters = [Letter(k >> 1, -1 if k & 1 else 1) for k in range(2 * self.rank)]
+        letters = _arc_letters(self.rank)
         flat = []
         for eid, (o, t, l) in enumerate(self.edges):
             flat.append((o, 2 * l, t, eid))
@@ -143,6 +143,12 @@ class XDigraph(object):
 
     def with_base(self, v: int | None) -> "XDigraph":
         return XDigraph(self.rank, self.vertex_count, self.edges, v)
+
+
+@lru_cache(maxsize=None)
+def _arc_letters(rank: int) -> tuple[Letter, ...]:
+    # Letter 2 * gen + (1 for an inverse), as arcs key their letters.
+    return tuple(Letter(k >> 1, -1 if k & 1 else 1) for k in range(2 * rank))
 
 
 def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
@@ -440,7 +446,8 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     """The subgroup on the core of the product at the pair of bases.
 
     Only the base pair's component of the product matters, so it is
-    found by a search that steps both folded graphs in lockstep.  Its
+    found by a search that steps both folded graphs in lockstep: from
+    each pair it walks h's arcs and looks up only their letters in k.  Its
     pairs are numbered as the full product numbers them, with the base
     pair first.  In a folded graph an edge is fixed by its origin and
     label, and edges are sorted by (origin, label), so the product
@@ -450,7 +457,7 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups over different alphabets")
-    steps1, steps2 = h.graph._steps, k.graph._steps
+    arcs1, steps2 = h.graph._arcs, k.graph._steps
     start = (h.base, k.base)
     # pair -> its first touch (o1, l, o2, end); the base pair sorts first
     first: dict[tuple[int, int], tuple[int, ...]] = {start: (-1,)}
@@ -458,18 +465,18 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     stack = [start]
     while stack:
         pair = u1, u2 = stack.pop()
-        for l in range(h.alphabet.rank):
-            for sign in (1, -1):
-                far = (steps1.get((u1, l, sign)), steps2.get((u2, l, sign)))
-                if None in far:
-                    continue
-                origin, terminus = (pair, far) if sign > 0 else (far, pair)
-                key = (origin[0], l, origin[1])
-                edges[key] = terminus
-                for other, touch in ((origin, key + (0,)), (terminus, key + (1,))):
-                    if other not in first:
-                        stack.append(other)
-                    first[other] = min(first.get(other, touch), touch)
+        for (l, sign), far1, _ in arcs1[u1]:
+            far2 = steps2.get((u2, l, sign))
+            if far2 is None:
+                continue
+            far = (far1, far2)
+            origin, terminus = (pair, far) if sign > 0 else (far, pair)
+            key = (origin[0], l, origin[1])
+            edges[key] = terminus
+            for other, touch in ((origin, key + (0,)), (terminus, key + (1,))):
+                if other not in first:
+                    stack.append(other)
+                first[other] = min(first.get(other, touch), touch)
     index = {p: i for i, p in enumerate(sorted(first, key=first.__getitem__))}
     edge_list = tuple((index[(o1, o2)], index[t], l) for (o1, l, o2), t in edges.items())
     prod = XDigraph(h.alphabet.rank, len(index), edge_list, 0)

@@ -37,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
+from operator import neg
 from typing import Iterable, Iterator, Sequence
 
 from .stallings import _is_rose, build_subgroup
@@ -547,34 +548,24 @@ def _is_basis(target: Sequence[Word], alphabet: Alphabet) -> bool:
     return _is_rose(build_subgroup(list(target), alphabet))
 
 
-_KeyWord = tuple[tuple[int, int], ...]
-_Key = tuple[_KeyWord, ...]
+# A reduced word of the Nielsen search as integer codes: g + 1 for the
+# generator g and -(g + 1) for its inverse, so a letter's inverse is its
+# negation.
+_Code = tuple[int, ...]
+_State = tuple[_Code, ...]
 
 
-def _reduce_raw(seq: Iterable[tuple[int, int]]) -> _KeyWord:
-    stack: list[tuple[int, int]] = []
-    for g, s in seq:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((g, s))
-    return tuple(stack)
+def _code(w: Word) -> _Code:
+    return tuple(l.gen + 1 if l.sign > 0 else -(l.gen + 1) for l in w.letters)
 
 
-def _raw_invert(w: _KeyWord) -> _KeyWord:
-    return tuple((g, -s) for g, s in reversed(w))
-
-
-def _raw_apply(key: _Key, move: NielsenTransformation, undo: bool) -> _Key:
-    words = list(key)
-    i = move.target
-    if move.source is None:
-        words[i] = _raw_invert(words[i])
-    else:
-        other = words[move.source]
-        tail = _raw_invert(other) if undo else other
-        words[i] = _reduce_raw(words[i] + tail)
-    return tuple(words)
+def _join(u: _Code, v: _Code) -> _Code:
+    """The free reduction of u v for reduced u and v: letters cancel only
+    at the junction, so pop the cancelling pairs there and slice."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]
 
 
 def _elementary_moves(rank: int) -> list[NielsenTransformation]:
@@ -589,22 +580,31 @@ def _elementary_moves(rank: int) -> list[NielsenTransformation]:
 
 
 def _bidirectional_search(
-    target_key: _Key, rank: int, node_budget: int
+    target: _State, rank: int, node_budget: int
 ) -> list[NielsenTransformation] | None:
     """Shortest elementary move sequence from the standard basis to the
     target, by bidirectional breadth-first search.  None if the budget
-    runs out (the caller falls back to greedy reduction)."""
-    std_key: _Key = tuple(((g, 1),) for g in range(rank))
-    if target_key == std_key:
+    runs out (the caller falls back to greedy reduction).
+
+    States are tuples of reduced integer-coded words (see `_Code`).
+    Both factors of a right-multiplication are reduced, so its product
+    is a junction join.  Each expansion inverts the state's words once
+    and shares them among its moves: an inversion move takes the
+    inverse, and the backward side, which walks moves in reverse,
+    multiplies by it.  The codes are a bijection with the words, so the
+    search visits the states of a letter-keyed search in the same order.
+    """
+    std: _State = tuple((g + 1,) for g in range(rank))
+    if target == std:
         return []
-    moves = _elementary_moves(rank)
+    moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
     # parents map a state to (previous state, move); move direction is
     # forward (toward the target) on both sides.
-    parents_f: dict[_Key, tuple[_Key, NielsenTransformation] | None] = {std_key: None}
-    parents_b: dict[_Key, tuple[_Key, NielsenTransformation] | None] = {target_key: None}
-    frontier_f, frontier_b = [std_key], [target_key]
+    parents_f: dict[_State, tuple[_State, NielsenTransformation] | None] = {std: None}
+    parents_b: dict[_State, tuple[_State, NielsenTransformation] | None] = {target: None}
+    frontier_f, frontier_b = [std], [target]
 
-    def rebuild(meet: _Key) -> list[NielsenTransformation]:
+    def rebuild(meet: _State) -> list[NielsenTransformation]:
         head: list[NielsenTransformation] = []
         state = meet
         while parents_f[state] is not None:
@@ -617,7 +617,7 @@ def _bidirectional_search(
             head.append(move)
         return head
 
-    def depth(parents: dict, state: _Key) -> int:
+    def depth(parents: dict, state: _State) -> int:
         d = 0
         while parents[state] is not None:
             state = parents[state][0]
@@ -631,11 +631,14 @@ def _bidirectional_search(
         frontier = frontier_f if forward else frontier_b
         parents = parents_f if forward else parents_b
         other = parents_b if forward else parents_f
-        fresh: list[_Key] = []
-        meets: list[_Key] = []
+        fresh: list[_State] = []
+        meets: list[_State] = []
         for state in frontier:
-            for move in moves:
-                new = _raw_apply(state, move, undo=not forward)
+            inverses = tuple(tuple(map(neg, reversed(w))) for w in state)
+            tails = state if forward else inverses
+            for move, i, j in moves:
+                word = inverses[i] if j is None else _join(state[i], tails[j])
+                new = state[:i] + (word,) + state[i + 1 :]
                 if new in parents:
                     continue
                 parents[new] = (state, move)
@@ -754,8 +757,7 @@ def nielsen_decompose(
             raise NotABasisError("a basis cannot contain the trivial word")
     if not _is_basis(words, alphabet):
         raise NotABasisError("words do not generate the whole group")
-    key: _Key = tuple(tuple((l.gen, l.sign) for l in w.letters) for w in words)
-    moves = _bidirectional_search(key, alphabet.rank, node_budget)
+    moves = _bidirectional_search(tuple(map(_code, words)), alphabet.rank, node_budget)
     if moves is None:
         moves = _invert_move_list(_greedy_moves(words))
     if apply_nielsen(moves, alphabet) != words:

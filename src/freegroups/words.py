@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -87,8 +88,20 @@ class Alphabet:
             raise WordFormatError("unknown generator %r" % symbol) from None
 
     def _is_charmap(self) -> bool:
-        # The case-based text format needs single lowercase ASCII names.
-        return all(len(s) == 1 and s in string.ascii_lowercase for s in self.symbols)
+        return _letter_table(self) is not None
+
+
+@lru_cache(maxsize=64)
+def _letter_table(alphabet: Alphabet) -> dict[str, Letter] | None:
+    """The text format's character -> letter table: each generator's name
+    and its uppercase inverse.  None when the alphabet cannot use the
+    case-based format, which needs single lowercase ASCII names."""
+    symbols = alphabet.symbols
+    if not all(len(s) == 1 and s in string.ascii_lowercase for s in symbols):
+        return None
+    table = {s: Letter(gen, 1) for gen, s in enumerate(symbols)}
+    table.update((s.upper(), Letter(gen, -1)) for gen, s in enumerate(symbols))
+    return table
 
 
 def _check_letters(letters: Iterable[Letter], rank: int) -> tuple[Letter, ...]:
@@ -280,10 +293,16 @@ def parse_cyclic(text: str, alphabet: Alphabet) -> CyclicWord:
 
 
 def _parse_letters(text: str, alphabet: Alphabet) -> list[Letter]:
-    if not alphabet._is_charmap():
+    table = _letter_table(alphabet)
+    if table is None:
         raise WordFormatError("text format needs single-letter generator names")
     if text == "1":
         return []
+    try:
+        return [table[ch] for ch in text]
+    except KeyError:
+        pass
+    # Read each character by its case: the KELVIN SIGN is an inverse k.
     out = []
     for ch in text:
         low = ch.lower()

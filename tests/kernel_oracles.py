@@ -1,13 +1,16 @@
 """Reference implementations of the Stallings kernel, the conjugacy
-search and the least rotation, kept as test oracles for the fast paths
-that replaced them.
+search, the least rotation and the Nielsen search, kept as test oracles
+for the fast paths that replaced them.
 
 Each function is the straightforward version: fold restarts its scan
 after every merge, the peels recount every degree each round, intersect
 builds the whole product, arcs_from scans every edge, the conjugacy
 search tries every rotation at every vertex and the least rotation
-compares all n rotations.  They are slow on purpose and use only the
-library's graph type, `components` and `path_word`;
+compares all n rotations; the Nielsen search keys its states by
+(gen, sign) pairs and reduces every product in full; the parser reads
+every character by its case.  They are slow on
+purpose and use only the library's graph type, `components`,
+`path_word` and the Nielsen move list;
 `tests/test_kernel_differential.py` asserts that the library returns
 exactly what they return.
 """
@@ -15,7 +18,8 @@ exactly what they return.
 from __future__ import annotations
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
-from freegroups.words import Letter, Word
+from freegroups.whitehead import _elementary_moves
+from freegroups.words import Letter, Word, WordFormatError
 
 
 def restrict(g, keep, base):
@@ -163,4 +167,102 @@ def conjugator_into(h, w):
                     break
             if v == u:
                 return path_word(g, h.base, u, h.alphabet) * ~prefix * ~strip
+    return None
+
+
+def parse_letters(text, alphabet):
+    if not alphabet._is_charmap():
+        raise WordFormatError("text format needs single-letter generator names")
+    if text == "1":
+        return []
+    out = []
+    for ch in text:
+        low = ch.lower()
+        if not ch.isalpha() or low not in alphabet.symbols:
+            raise WordFormatError("unexpected character %r in %r" % (ch, text))
+        out.append(Letter(alphabet.index(low), 1 if ch.islower() else -1))
+    return out
+
+
+def _reduce_raw(seq):
+    stack = []
+    for g, s in seq:
+        if stack and stack[-1][0] == g and stack[-1][1] == -s:
+            stack.pop()
+        else:
+            stack.append((g, s))
+    return tuple(stack)
+
+
+def _raw_invert(w):
+    return tuple((g, -s) for g, s in reversed(w))
+
+
+def _raw_apply(key, move, undo):
+    words = list(key)
+    i = move.target
+    if move.source is None:
+        words[i] = _raw_invert(words[i])
+    else:
+        other = words[move.source]
+        tail = _raw_invert(other) if undo else other
+        words[i] = _reduce_raw(words[i] + tail)
+    return tuple(words)
+
+
+def bidirectional_search(target_key, rank, node_budget):
+    """The Nielsen search on (gen, sign) pairs, reducing every product
+    in full and inverting a word for every move that needs it."""
+    std_key = tuple(((g, 1),) for g in range(rank))
+    if target_key == std_key:
+        return []
+    moves = _elementary_moves(rank)
+    parents_f = {std_key: None}
+    parents_b = {target_key: None}
+    frontier_f, frontier_b = [std_key], [target_key]
+
+    def rebuild(meet):
+        head = []
+        state = meet
+        while parents_f[state] is not None:
+            state, move = parents_f[state]
+            head.append(move)
+        head.reverse()
+        state = meet
+        while parents_b[state] is not None:
+            state, move = parents_b[state]
+            head.append(move)
+        return head
+
+    def depth(parents, state):
+        d = 0
+        while parents[state] is not None:
+            state = parents[state][0]
+            d += 1
+        return d
+
+    while frontier_f and frontier_b:
+        if len(parents_f) + len(parents_b) > node_budget:
+            return None
+        forward = len(frontier_f) <= len(frontier_b)
+        frontier = frontier_f if forward else frontier_b
+        parents = parents_f if forward else parents_b
+        other = parents_b if forward else parents_f
+        fresh, meets = [], []
+        for state in frontier:
+            for move in moves:
+                new = _raw_apply(state, move, undo=not forward)
+                if new in parents:
+                    continue
+                parents[new] = (state, move)
+                fresh.append(new)
+                if new in other:
+                    meets.append(new)
+        if meets:
+            best = min(meets, key=lambda m: depth(other, m))
+            return rebuild(best)
+        if forward:
+            frontier_f = fresh
+        else:
+            frontier_b = fresh
     return None

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freegroups.ellipticity import (
     DoesNotGenerateError,
@@ -26,6 +27,7 @@ from freegroups.stallings import (
 )
 from freegroups.whitehead import (
     NielsenTransformation,
+    _elementary_moves,
     apply_nielsen,
     enumerate_relabelings,
     enumerate_whitehead,
@@ -120,6 +122,42 @@ class TestVerify:
         assert contains(s.factor(0), parse_word("ab", A2))
         assert contains(s.factor(1), parse_word("bb", A2))
         assert not contains(s.factor(0), parse_word("b", A2))
+
+
+@st.composite
+def verified_splittings(draw):
+    """A splitting of a basis reached by random Nielsen moves at rank 2-4."""
+    rank = draw(st.integers(2, 4))
+    alphabet = Alphabet.of_rank(rank)
+    moves = draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=8))
+    basis = apply_nielsen(moves, alphabet)
+    cut = draw(st.integers(1, rank - 1))
+    return verify_splitting(basis[:cut], basis[cut:], alphabet)
+
+
+class TestSplittingCaches:
+    def test_factor_built_once(self):
+        s = split("ab | b")
+        for i in (0, 1):
+            assert s.factor(i) is s.factor(i)
+            assert s.factor(i) == build_subgroup(list(s.basis(i)), A2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(verified_splittings())
+    def test_factor_ranks_match_basis_sizes(self, s):
+        # verify_splitting builds no factor graph: generating F by rank(F)
+        # words makes each factor's basis free.
+        for i in (0, 1):
+            assert s.factor(i).free_rank == len(s.basis(i))
+
+    @settings(max_examples=50, deadline=None)
+    @given(verified_splittings())
+    def test_equality_ignores_caches(self, s):
+        fresh = verify_splitting(s.basis_a, s.basis_b, s.alphabet)
+        assert splittings_distance_two(s, s)
+        assert word_elliptic(s.basis_b[0], s)
+        assert s == fresh and hash(s) == hash(fresh)
+        assert repr(s) == repr(fresh)
 
 
 class TestSplittingsDistanceTwo:

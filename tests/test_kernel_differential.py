@@ -1,6 +1,8 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
-rotation and the orbit's relabeling pass returns exactly what the code it
-replaced returns (the oracles in `kernel_oracles.py`)."""
+rotation, the orbit's relabeling pass, the Nielsen search and the parser
+returns
+exactly what the code it replaced returns (the oracles in
+`kernel_oracles.py`)."""
 
 import kernel_oracles as oracle
 from hypothesis import given, settings, strategies as st
@@ -17,8 +19,25 @@ from freegroups.stallings import (
     product,
     type_graph,
 )
-from freegroups.whitehead import _relabel, enumerate_relabelings
-from freegroups.words import Alphabet, CyclicWord, Letter, _least_rotation, free_reduce
+from freegroups.whitehead import (
+    _bidirectional_search,
+    _code,
+    _elementary_moves,
+    _join,
+    _relabel,
+    apply_nielsen,
+    enumerate_relabelings,
+)
+from freegroups.words import (
+    Alphabet,
+    CyclicWord,
+    Letter,
+    Word,
+    WordFormatError,
+    _least_rotation,
+    _parse_letters,
+    free_reduce,
+)
 
 FAMILIES = ("random", "powers", "conjugator", "prefix", "periodic", "tiny")
 
@@ -192,6 +211,83 @@ class TestRelabeling:
         w = CyclicWord.from_word(free_reduce(seq, alphabet))
         for t in enumerate_relabelings(rank):
             assert _relabel(t.images, w) == t.apply_to_cyclic(w)
+
+
+@st.composite
+def nielsen_targets(draw):
+    """A basis reached from the standard one by 0-10 random moves."""
+    rank = draw(st.sampled_from((2, 3)))
+    alphabet = Alphabet.of_rank(rank)
+    moves = draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=10))
+    return rank, apply_nielsen(moves, alphabet)
+
+
+def pair_key(words):
+    return tuple(tuple((l.gen, l.sign) for l in w.letters) for w in words)
+
+
+class TestNielsenSearch:
+    # Large enough that most targets are found, small enough that the
+    # oracle stays fast on the ones that are not.
+    BUDGET = 30_000
+
+    @settings(max_examples=60, deadline=None)
+    @given(nielsen_targets())
+    def test_matches_pair_keyed_search(self, case):
+        rank, words = case
+        expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
+        assert _bidirectional_search(tuple(map(_code, words)), rank, self.BUDGET) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(nielsen_targets(), st.integers(0, 300))
+    def test_small_budgets_run_out_together(self, case, budget):
+        rank, words = case
+        expected = oracle.bidirectional_search(pair_key(words), rank, budget)
+        found = _bidirectional_search(tuple(map(_code, words)), rank, budget)
+        assert (found is None) == (expected is None)
+        assert found == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_join_is_free_reduction(self, data):
+        alphabet = Alphabet.of_rank(data.draw(st.sampled_from((1, 2, 3))))
+        word = st.lists(letters(alphabet.rank), max_size=10)
+        u = free_reduce(data.draw(word), alphabet)
+        v = free_reduce(data.draw(word), alphabet)
+        if data.draw(st.booleans()):
+            # Cancel a suffix of u, or all of it, and maybe more.
+            cut = data.draw(st.integers(0, len(u)))
+            v = ~Word(alphabet, u.letters[cut:]) * v
+        assert _join(_code(u), _code(v)) == _code(u * v)
+
+
+def parsed(text, alphabet, parse):
+    try:
+        return parse(text, alphabet)
+    except WordFormatError as e:
+        return str(e)
+
+
+class TestParse:
+    # Names, their inverses, letters outside the alphabet and characters
+    # whose case mapping is not ASCII: KELVIN SIGN lowercases to "k", the
+    # dotted capital I to two characters, sharp s has no uppercase.
+    CHARS = "abcdkABCDK1 -\u212a\u0130\u00df\u00e9\u0391"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from((1, 2, 4, 11)), st.text(CHARS, max_size=8) | st.just("1"))
+    def test_matches_per_character_parse(self, rank, text):
+        alphabet = Alphabet.of_rank(rank)
+        assert parsed(text, alphabet, _parse_letters) == parsed(
+            text, alphabet, oracle.parse_letters
+        )
+
+    def test_kelvin_sign_is_an_inverse(self):
+        assert _parse_letters("a\u212a", Alphabet.of_rank(11)) == [Letter(0, 1), Letter(10, -1)]
+
+    def test_named_alphabet_rejected(self):
+        alphabet = Alphabet(("x0", "x1"))
+        assert parsed("a", alphabet, _parse_letters) == parsed("a", alphabet, oracle.parse_letters)
 
 
 def test_cli_usage_error_between_valid_calls():

@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .stallings import (
+    CertificateError,
     Subgroup,
     XDigraph,
     _is_rose,
@@ -34,8 +35,8 @@ from .stallings import (
     type_graph,
 )
 from .whitehead import (
-    CertificateError,
     PairClass,
+    _decompose_basis,
     classify_pair,
     minimize_tuple,
     moves_apply_word,
@@ -74,22 +75,32 @@ class TrivialIntersectionError(ValueError):
     """The chosen factors intersect trivially."""
 
 
+# The certificate only verify_splitting hands out.
+_CERTIFIED = object()
+
+
 @dataclass(frozen=True)
 class FreeSplitting(object):
     """F = A * B presented by a basis of each factor.
 
-    The `verified` flag is the certificate issued by verify_splitting;
-    the deciders refuse splittings without it.  Each factor's subgroup
-    and type graph are built on first use and kept; the caches take no
-    part in equality, hashing or the repr.
+    Only verify_splitting can certify a splitting: it stores a sentinel
+    that no other code holds in a field the constructor does not take,
+    and the deciders refuse splittings without it.  A splitting built
+    directly, or by dataclasses.replace, is not `verified`.  Each
+    factor's subgroup and type graph are built on first use and kept;
+    the caches take no part in equality, hashing or the repr.
     """
 
     alphabet: Alphabet
     basis_a: tuple[Word, ...]
     basis_b: tuple[Word, ...]
-    verified: bool = False
+    _certificate: object = field(default=None, init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _type_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @property
+    def verified(self) -> bool:
+        return self._certificate is _CERTIFIED
 
     @property
     def combined(self) -> tuple[Word, ...]:
@@ -171,7 +182,9 @@ def verify_splitting(
         )
     if not _is_rose(build_subgroup(list(a + b), alphabet)):
         raise DoesNotGenerateError("combined basis words do not generate F")
-    return FreeSplitting(alphabet, a, b, verified=True)
+    s = FreeSplitting(alphabet, a, b)
+    object.__setattr__(s, "_certificate", _CERTIFIED)
+    return s
 
 
 def _require_verified(s: FreeSplitting) -> None:
@@ -260,8 +273,9 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
 
 @lru_cache(maxsize=256)
 def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]):
-    # moves presenting the automorphism standard basis -> combined
-    return tuple(nielsen_decompose(list(combined), alphabet))
+    # moves presenting the automorphism standard basis -> combined; the
+    # combined basis of a verified splitting needs no second fold
+    return tuple(_decompose_basis(combined, alphabet))
 
 
 def primitive_in_intersection(
@@ -308,8 +322,6 @@ def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     _require_verified(s1)
     _require_verified(s2)
     _require_same_alphabet(s1, s2)
-    if s1.alphabet.rank < 2:
-        raise ValueError("the bound needs at least two generators")
     moves = _rebase_moves(s1.alphabet, s1.combined)
     over_s1 = [moves_apply_word_inverse(moves, u) for u in s2.combined]
     return 2 * len(nielsen_decompose(over_s1, s1.alphabet))

@@ -29,6 +29,12 @@ from .words import (
 )
 
 
+class CertificateError(AssertionError):
+    """A computed answer failed its own re-check.  This signals a defect
+    in the library, never bad input, so it is not a ValueError; unlike a
+    bare assert, the check still runs under `python -O`."""
+
+
 class GraphFormatError(ValueError):
     """Malformed graph text."""
 
@@ -359,7 +365,8 @@ def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
             prev = nxt
     wedge = XDigraph(alphabet.rank, n_vertices, tuple(edges), base=0)
     folded = fold(wedge)
-    assert folded.base is not None
+    if folded.base is None:
+        raise CertificateError("folding lost the base vertex")
     return Subgroup(core(folded, folded.base), alphabet)
 
 

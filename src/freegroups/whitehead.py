@@ -17,11 +17,19 @@ pair u v of an entry, one edge u - v^-1.  A multiplier automorphism
 with multiplier m has the side A = {m} + {x : x acts right or conj} +
 {x^-1 : x acts left or conj}, and it changes the total length by
 cap(A) - deg(m), the number of edges leaving A minus the degree of m
-(Whitehead 1936; Roig-Ventura-Weil 2007).  Descent scores the
-multipliers in enumeration order, takes the first that shortens, and
-applies only that one; the orbit closure applies only the multipliers
-that score zero, then every relabeling to what they reach.  Each applied
-move is checked against its predicted length.
+(Whitehead 1936; Roig-Ventura-Weil 2007).  A max flow between x and
+x^-1 bounds the change of every multiplier x or x^-1 at once, so most
+blocks of candidates are never scored.  Descent scores the rest in
+enumeration order, takes the first that shortens, and applies only
+that one; the orbit closure applies only the multipliers that score
+zero, then every relabeling to what they reach.  Each applied move is
+checked against its predicted length.
+
+The scan, the orbit and the application of an automorphism work on
+letters as vertex codes 2 * gen + (1 for an inverse), the keys of
+Booth's algorithm and of the arcs of Stallings graphs.  Enumerating
+automorphisms is exponential in the rank, so every enumeration checks
+its count against WHITEHEAD_BUDGET first.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -31,16 +39,17 @@ tuple is decomposed into the shortest such move sequence.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import neg
 from typing import Iterable, Iterator, Sequence
 
-from .stallings import _is_rose, build_subgroup
+from .stallings import CertificateError, _arc_letters, _is_rose, build_subgroup
 from .words import (
     Alphabet,
     AlphabetMismatchError,
@@ -48,26 +57,46 @@ from .words import (
     Letter,
     TrivialWordError,
     Word,
-    cyclic_reduce,
+    _least_rotation_start,
     free_reduce,
     letter_support,
 )
 
 ORBIT_RANK_WARNING = 5
 
+# The most automorphisms of one kind (multipliers or relabelings) that a
+# call may enumerate.  Rank 6 has 12,276 multipliers and 46,080
+# relabelings; rank 7 has 57,330 and 645,120.
+WHITEHEAD_BUDGET = 50_000
+
 
 class NotABasisError(ValueError):
     """The given tuple does not freely generate the whole group."""
 
 
-class CertificateError(AssertionError):
-    """A computed answer failed its own re-check.  This signals a defect
-    in the library, never bad input, so it is not a ValueError; unlike a
-    bare assert, the check still runs under `python -O`."""
+class WhiteheadBudgetError(ValueError):
+    """The rank has more Whitehead automorphisms than WHITEHEAD_BUDGET."""
+
+
+def _check_budget(count: int, kind: str, rank: int) -> None:
+    if count > WHITEHEAD_BUDGET:
+        raise WhiteheadBudgetError(
+            "rank %d has %d %s, over the budget of %d"
+            % (rank, count, kind, WHITEHEAD_BUDGET)
+        )
+
+
+def _check_multipliers(rank: int) -> None:
+    _check_budget(2 * rank * (4 ** (rank - 1) - 1), "multiplier automorphisms", rank)
+
+
+def _check_relabelings(rank: int) -> None:
+    _check_budget(math.factorial(rank) * 2**rank, "relabelings", rank)
 
 
 class Action(IntEnum):
-    """How a multiplier automorphism treats one generator."""
+    """How a multiplier automorphism treats one generator.  Bit 0 puts
+    the generator on the side A, bit 1 its inverse."""
 
     KEEP = 0
     RIGHT = 1
@@ -81,6 +110,83 @@ ACTION_NAMES = {
     Action.LEFT: "left",
     Action.CONJ: "conj",
 }
+
+# The image of each vertex code, indexed by that code.
+_Images = tuple[tuple[int, ...], ...]
+
+
+def _vertex(l: Letter) -> int:
+    return 2 * l.gen + (l.sign < 0)
+
+
+# Hot paths build tuples from lists, not generators: tuple() sizes a
+# generator's result at 10 and resizes it, so freeing it feeds the
+# interpreter's free list for its final length while nothing drains
+# that list, and those lists keep up to 2,000 dead tuples per length.
+def _vertices(letters: Iterable[Letter]) -> tuple[int, ...]:
+    return tuple([2 * l.gen + (l.sign < 0) for l in letters])
+
+
+def _actions(rank: int, gen: int, code: int) -> list[int]:
+    """The action table whose base-4 digits, least significant first,
+    are the actions on the generators other than gen."""
+    actions = [int(Action.KEEP)] * rank
+    for g in range(rank):
+        if g != gen:
+            actions[g] = code & 3
+            code >>= 2
+    return actions
+
+
+def _multiplier_images(m: int, actions: Sequence[int]) -> _Images:
+    """The code images of the multiplier automorphism with multiplier
+    vertex m and these actions."""
+    n = m ^ 1
+    images = []
+    for g, act in enumerate(actions):
+        x = 2 * g
+        image = ((x,), (x, m), (n, x), (n, x, m))[act]
+        images.append(image)
+        images.append(tuple([c ^ 1 for c in reversed(image)]))
+    return tuple(images)
+
+
+def _relabeling_images(codes: Sequence[int]) -> _Images:
+    """The code images of the relabeling that sends generator g to the
+    letter with code codes[g]."""
+    return tuple([image for c in codes for image in ((c,), (c ^ 1,))])
+
+
+def _free_image(images: _Images, word: Iterable[int]) -> list[int]:
+    """The free reduction of the image of a code word.  Every image is
+    reduced, so letters cancel only at the junctions."""
+    out: list[int] = []
+    for c in word:
+        image = images[c]
+        k = 0
+        while out and k < len(image) and out[-1] == image[k] ^ 1:
+            out.pop()
+            k += 1
+        out.extend(image[k:])
+    return out
+
+
+def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
+    """The canonical cyclic word of the image of a code word: junction
+    cancellation, cyclic reduction, then the least rotation."""
+    out = _free_image(images, word)
+    i, j = 0, len(out)
+    while i < j - 1 and out[i] == out[j - 1] ^ 1:
+        i += 1
+        j -= 1
+    core = out[i:j]
+    k = _least_rotation_start(core)
+    return tuple(core[k:] + core[:k])
+
+
+def _cyclic_word(alphabet: Alphabet, codes: Iterable[int]) -> CyclicWord:
+    letters = _arc_letters(alphabet.rank)
+    return CyclicWord(alphabet, tuple([letters[c] for c in codes]))
 
 
 @dataclass(frozen=True)
@@ -104,7 +210,7 @@ class WhiteheadAut(object):
     def multiplier(
         cls, rank: int, mult: Letter, actions: Sequence[int]
     ) -> "WhiteheadAut":
-        actions = tuple(int(a) for a in actions)
+        actions = tuple([int(a) for a in actions])
         if len(actions) != rank:
             raise ValueError("need one action per generator")
         if actions[mult.gen] != Action.KEEP:
@@ -127,41 +233,24 @@ class WhiteheadAut(object):
         assert self.mult is not None and self.actions is not None
         return WhiteheadAut.multiplier(self.rank, self.mult.inverse(), self.actions)
 
-    def _positive_image(self, gen: int) -> tuple[Letter, ...]:
+    @cached_property
+    def _code_images(self) -> _Images:
         if self.images is not None:
-            return (self.images[gen],)
+            return _relabeling_images(_vertices(self.images))
         assert self.mult is not None and self.actions is not None
-        m = self.mult
-        x = Letter(gen, 1)
-        if gen == m.gen:
-            return (x,)
-        act = self.actions[gen]
-        if act == Action.KEEP:
-            return (x,)
-        if act == Action.RIGHT:
-            return (x, m)
-        if act == Action.LEFT:
-            return (m.inverse(), x)
-        return (m.inverse(), x, m)
-
-    def apply_to_letters(self, letters: Iterable[Letter]) -> list[Letter]:
-        out: list[Letter] = []
-        for l in letters:
-            image = self._positive_image(l.gen)
-            if l.sign > 0:
-                out.extend(image)
-            else:
-                out.extend(x.inverse() for x in reversed(image))
-        return out
+        return _multiplier_images(_vertex(self.mult), self.actions)
 
     def apply_to_word(self, w: Word) -> Word:
         self._check_rank(w.alphabet)
-        return free_reduce(self.apply_to_letters(w.letters), w.alphabet)
+        letters = _arc_letters(self.rank)
+        image = _free_image(self._code_images, _vertices(w.letters))
+        return Word(w.alphabet, tuple([letters[c] for c in image]))
 
     def apply_to_cyclic(self, w: CyclicWord) -> CyclicWord:
         self._check_rank(w.alphabet)
-        linear = free_reduce(self.apply_to_letters(w.letters), w.alphabet)
-        return cyclic_reduce(linear)[0]
+        return _cyclic_word(
+            w.alphabet, _cyclic_image(self._code_images, _vertices(w.letters))
+        )
 
     def _check_rank(self, alphabet: Alphabet) -> None:
         if alphabet.rank != self.rank:
@@ -196,39 +285,43 @@ def apply_whitehead(t: WhiteheadAut, w: CyclicWord) -> CyclicWord:
     return t.apply_to_cyclic(w)
 
 
+def _multiplier(rank: int, m: int, code: int) -> WhiteheadAut:
+    """The multiplier automorphism with multiplier vertex m and action
+    code `code`."""
+    return WhiteheadAut.multiplier(rank, _arc_letters(rank)[m], _actions(rank, m >> 1, code))
+
+
 @lru_cache(maxsize=None)
 def enumerate_whitehead(rank: int) -> tuple[WhiteheadAut, ...]:
     """All non-identity multiplier automorphisms, in a fixed order:
     multipliers by letter order, then action tables in base-4 counting
     order over the other generators (least significant digit first).
     There are 2n * (4^(n-1) - 1) of them."""
-    out = []
-    for gen in range(rank):
-        for sign in (1, -1):
-            m = Letter(gen, sign)
-            others = [g for g in range(rank) if g != gen]
-            for code in range(1, 4 ** len(others)):
-                actions = [int(Action.KEEP)] * rank
-                c = code
-                for g in others:
-                    actions[g] = c % 4
-                    c //= 4
-                out.append(WhiteheadAut.multiplier(rank, m, actions))
-    return tuple(out)
+    _check_multipliers(rank)
+    return tuple(
+        _multiplier(rank, m, code)
+        for m in range(2 * rank)
+        for code in range(1, 4 ** (rank - 1))
+    )
+
+
+def _signed_permutations(rank: int) -> Iterator[tuple[int, ...]]:
+    """The vertex code of each generator's image under each relabeling,
+    in the order of enumerate_relabelings."""
+    for perm in itertools.permutations(range(0, 2 * rank, 2)):
+        for flips in itertools.product((0, 1), repeat=rank):
+            yield tuple([p | f for p, f in zip(perm, flips)])
 
 
 @lru_cache(maxsize=None)
 def enumerate_relabelings(rank: int) -> tuple[WhiteheadAut, ...]:
     """All n! * 2^n signed permutations of the generators."""
-    out = []
-    for perm in itertools.permutations(range(rank)):
-        for signs in itertools.product((1, -1), repeat=rank):
-            out.append(
-                WhiteheadAut.relabeling(
-                    tuple(Letter(perm[g], signs[g]) for g in range(rank))
-                )
-            )
-    return tuple(out)
+    _check_relabelings(rank)
+    letters = _arc_letters(rank)
+    return tuple(
+        WhiteheadAut.relabeling(tuple(letters[c] for c in codes))
+        for codes in _signed_permutations(rank)
+    )
 
 
 def _common_alphabet(ws: Sequence[CyclicWord]) -> Alphabet:
@@ -245,25 +338,19 @@ def total_length(ws: Sequence[CyclicWord]) -> int:
     return sum(len(w) for w in ws)
 
 
-def _vertex(l: Letter) -> int:
-    return 2 * l.gen + (l.sign < 0)
-
-
 def _whitehead_graph(
-    ws: Sequence[CyclicWord], rank: int
+    words: Iterable[tuple[int, ...]], rank: int
 ) -> tuple[list[int], list[int]]:
-    """The Whitehead graph of the tuple as a flat 2n x 2n matrix of edge
-    counts, with the vertex degrees.  Letter g is vertex 2g and its
-    inverse 2g + 1; each cyclically adjacent pair u v adds an edge
-    u - v^-1."""
+    """The Whitehead graph of a tuple of code words as a flat 2n x 2n
+    matrix of edge counts, with the vertex degrees.  Each cyclically
+    adjacent pair u v adds an edge u - v^-1."""
     size = 2 * rank
     graph = [0] * (size * size)
-    for w in ws:
-        if not w.letters:
+    for w in words:
+        if not w:
             continue
-        vertices = [_vertex(l) for l in w.letters]
-        u = vertices[-1]
-        for v in vertices:
+        u = w[-1]
+        for v in w:
             graph[u * size + (v ^ 1)] += 1
             graph[(v ^ 1) * size + u] += 1
             u = v
@@ -272,65 +359,112 @@ def _whitehead_graph(
 
 
 @lru_cache(maxsize=None)
-def _multiplier_cuts(rank: int) -> tuple[tuple[int, ...], tuple[array, ...]]:
-    """Aligned with enumerate_whitehead(rank): the multiplier vertex of
-    each automorphism, and the matrix cells that join its side A to the
-    complement of A, so that the length change is the sum over those
-    cells minus the multiplier's degree.  Compact arrays keep the table
-    at half the size of int tuples."""
+def _multiplier_cuts(rank: int) -> tuple[tuple[memoryview, array], ...]:
+    """For each multiplier vertex m: the matrix cells that join the side
+    A of each of its automorphisms to the complement of A, concatenated
+    in action-code order, and the offsets that bound each code's cells.
+    The length change of (m, c) is the sum over its cells minus the
+    degree of m.  Two flat arrays per multiplier keep the table small
+    (each imported copy of the package builds it once per rank), and a
+    memoryview slices the cells without copying them."""
+    _check_multipliers(rank)
     size = 2 * rank
-    mults, cuts = [], []
-    for t in enumerate_whitehead(rank):
-        assert t.mult is not None and t.actions is not None
-        m = _vertex(t.mult)
-        side = {m}
-        for g, act in enumerate(t.actions):
-            if act in (Action.RIGHT, Action.CONJ):
-                side.add(2 * g)
-            if act in (Action.LEFT, Action.CONJ):
-                side.add(2 * g + 1)
-        rest = [v for v in range(size) if v not in side]
-        mults.append(m)
-        cuts.append(array("H", (a * size + b for a in sorted(side) for b in rest)))
-    return tuple(mults), tuple(cuts)
+    table = []
+    for m in range(size):
+        cells, offsets = array("H"), array("I", [0])
+        for code in range(1, 4 ** (rank - 1)):
+            side = {m}
+            for g, act in enumerate(_actions(rank, m >> 1, code)):
+                if act & 1:
+                    side.add(2 * g)
+                if act & 2:
+                    side.add(2 * g + 1)
+            rest = [v for v in range(size) if v not in side]
+            cells.extend([a * size + b for a in sorted(side) for b in rest])
+            offsets.append(len(cells))
+        table.append((memoryview(cells), offsets))
+    return tuple(table)
+
+
+def _flow_reaches(graph: list[int], size: int, source: int, target: int) -> bool:
+    """Does the max flow from vertex `source` to its inverse, with the
+    matrix as capacities, reach `target`?  Augments along shortest
+    residual paths (Edmonds-Karp) and stops as soon as it does."""
+    sink = source ^ 1
+    residual = graph[:]
+    flow = 0
+    while flow < target:
+        parent = [-1] * size
+        parent[source] = source
+        queue = [source]
+        for u in queue:
+            row = u * size
+            for v in range(size):
+                if parent[v] < 0 and residual[row + v]:
+                    parent[v] = u
+                    queue.append(v)
+            if parent[sink] >= 0:
+                break
+        else:
+            return False
+        push, v = target - flow, sink
+        while v != source:
+            u = parent[v]
+            push = min(push, residual[u * size + v])
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            residual[u * size + v] -= push
+            residual[v * size + u] += push
+            v = u
+        flow += push
+    return True
 
 
 def _length_changes(
-    ws: tuple[CyclicWord, ...], rank: int
-) -> Iterator[tuple[WhiteheadAut, int]]:
-    """Each multiplier automorphism in enumeration order, with the change
-    in total length it would make to the tuple, read off the tuple's
-    Whitehead graph without applying it."""
-    graph, degrees = _whitehead_graph(ws, rank)
+    words: Sequence[tuple[int, ...]], rank: int, bound: int
+) -> Iterator[tuple[int, int, int]]:
+    """(multiplier vertex, action code, change in total length) for the
+    multiplier automorphisms in enumeration order, read off the Whitehead
+    graph of the code words without applying them.  Whole blocks whose
+    changes all exceed `bound` are skipped.
+
+    Take a generator x.  The side of a multiplier x contains x and not
+    x^-1; so does the complement of the side of a multiplier x^-1, and a
+    set and its complement have the same cut.  Conversely every set that
+    holds x and not x^-1 is the side of a multiplier x (the set {x} is
+    the identity's).  Since deg(x) = deg(x^-1), the least change over
+    both blocks, counting the identity's 0, is mincut(x, x^-1) - deg(x).
+    So one max flow from x to x^-1, stopped once it reaches
+    deg(x) + bound + 1, shows whether every candidate of both blocks
+    changes the length by more than `bound`; those blocks are skipped.
+    The cut never exceeds cap({x}) = deg(x), so a bound >= 0 skips
+    nothing and runs no flow.  The other blocks are scored in full and
+    in order, so the first candidate with change <= bound is the one a
+    full scan meets first.
+    """
+    graph, degrees = _whitehead_graph(words, rank)
+    size = 2 * rank
     cell = graph.__getitem__
-    mults, cuts = _multiplier_cuts(rank)
-    for t, m, cut in zip(enumerate_whitehead(rank), mults, cuts):
-        yield t, sum(map(cell, cut)) - degrees[m]
+    cuts = _multiplier_cuts(rank)
+    for x in range(0, size, 2):
+        target = degrees[x] + bound + 1
+        if target <= degrees[x] and _flow_reaches(graph, size, x, target):
+            continue
+        for m in (x, x + 1):
+            deg = degrees[m]
+            cells, offsets = cuts[m]
+            for code, (lo, hi) in enumerate(itertools.pairwise(offsets), 1):
+                yield m, code, sum(map(cell, cells[lo:hi])) - deg
 
 
-def _relabel(images: Sequence[Letter], w: CyclicWord) -> CyclicWord:
-    """The image of w under the relabeling with these generator images.
-    A signed permutation cancels no letter, so the mapped letters are
-    cyclically reduced already and only need their least rotation."""
-    return CyclicWord(
-        w.alphabet,
-        tuple(Letter(images[l.gen].gen, images[l.gen].sign * l.sign) for l in w.letters),
-    )
-
-
-def _apply_scored(
-    t: WhiteheadAut, ws: tuple[CyclicWord, ...], predicted: int
-) -> tuple[CyclicWord, ...]:
-    if t.images is not None:
-        images = tuple(_relabel(t.images, w) for w in ws)
-    else:
-        images = tuple(t.apply_to_cyclic(w) for w in ws)
-    if total_length(images) != predicted:
+def _check_predicted(got: int, predicted: int) -> None:
+    if got != predicted:
         raise CertificateError(
             "Whitehead move predicted total length %d, applying gave %d"
-            % (predicted, total_length(images))
+            % (predicted, got)
         )
-    return images
 
 
 def minimize_tuple(
@@ -348,13 +482,16 @@ def minimize_tuple(
     descent: list[WhiteheadAut] = []
     length = total_length(current)
     while True:
-        for t, change in _length_changes(current, alphabet.rank):
+        words = [_vertices(w.letters) for w in current]
+        for m, code, change in _length_changes(words, alphabet.rank, -1):
             if change < 0:
                 break
         else:
             return current, descent
+        t = _multiplier(alphabet.rank, m, code)
+        current = tuple([t.apply_to_cyclic(w) for w in current])
         length += change
-        current = _apply_scored(t, current, length)
+        _check_predicted(total_length(current), length)
         descent.append(t)
 
 
@@ -365,32 +502,47 @@ def equal_length_orbit(
     automorphisms of both kinds.  Contains the tuple itself.
 
     Conjugating a multiplier automorphism by a relabeling gives another
-    multiplier automorphism with the same length change, so the orbit is
-    every relabeling of the closure under length-preserving multipliers.
-    Relabelings map letters one to one and skip free and cyclic
-    reduction.
+    multiplier automorphism with the same length change.  So if the
+    closure holds a tuple, it holds all its relabelings, and the
+    multiplier neighbours of a relabeling r(p) are the relabelings by r
+    of the multiplier neighbours of p.  The closure is therefore a union
+    of relabeling classes, and the search scores the multipliers on one
+    tuple per class: each tuple a multiplier reaches outside the closure
+    found so far brings in its whole class.  The search runs on code
+    words; each member becomes a CyclicWord tuple once, at the end.
     """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
-    if alphabet.rank > ORBIT_RANK_WARNING:
+    rank = alphabet.rank
+    _check_relabelings(rank)
+    if rank > ORBIT_RANK_WARNING:
         warnings.warn(
-            "equal-length orbit over rank %d may be very large" % alphabet.rank,
+            "equal-length orbit over rank %d may be very large" % rank,
             stacklevel=2,
         )
     target = total_length(start)
-    level = {start}
-    queue = deque([start])
+    relabelings = [_relabeling_images(codes) for codes in _signed_permutations(rank)]
+    orbit: set[tuple] = set()
+    queue: deque[tuple] = deque()
+
+    def image(images: _Images, member: tuple) -> tuple:
+        out = tuple([_cyclic_image(images, w) for w in member])
+        _check_predicted(sum(map(len, out)), target)
+        return out
+
+    def add_class(member: tuple) -> None:
+        orbit.update(image(r, member) for r in relabelings)
+        queue.append(member)
+
+    add_class(tuple([_vertices(w.letters) for w in start]))
     while queue:
         current = queue.popleft()
-        for t, change in _length_changes(current, alphabet.rank):
-            if change != 0:
-                continue
-            images = _apply_scored(t, current, target)
-            if images not in level:
-                level.add(images)
-                queue.append(images)
-    relabelings = enumerate_relabelings(alphabet.rank)
-    return {_apply_scored(t, member, target) for member in level for t in relabelings}
+        for m, code, change in _length_changes(current, rank, 0):
+            if change == 0:
+                reached = image(_multiplier_images(m, _actions(rank, m >> 1, code)), current)
+                if reached not in orbit:
+                    add_class(reached)
+    return {tuple([_cyclic_word(alphabet, w) for w in member]) for member in orbit}
 
 
 def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
@@ -757,6 +909,15 @@ def nielsen_decompose(
             raise NotABasisError("a basis cannot contain the trivial word")
     if not _is_basis(words, alphabet):
         raise NotABasisError("words do not generate the whole group")
+    return _decompose_basis(words, alphabet, node_budget)
+
+
+def _decompose_basis(
+    words: tuple[Word, ...], alphabet: Alphabet, node_budget: int = 300_000
+) -> list[NielsenTransformation]:
+    """nielsen_decompose for words already certified to form a basis of
+    the alphabet's rank, such as the combined basis of a verified
+    splitting: no fold re-checks them, but the replay check still runs."""
     moves = _bidirectional_search(tuple(map(_code, words)), alphabet.rank, node_budget)
     if moves is None:
         moves = _invert_move_list(_greedy_moves(words))

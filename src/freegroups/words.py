@@ -14,7 +14,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class WordFormatError(ValueError):
@@ -201,13 +201,19 @@ class CyclicWord(object):
 
 
 def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The lexicographically least rotation, by Booth's O(n) algorithm
-    (Booth 1980) on the integer keys 2 * gen + (1 for an inverse), which
-    order letters as Letter.key does."""
-    n = len(letters)
+    """The lexicographically least rotation, found on the integer keys
+    2 * gen + (1 for an inverse), which order letters as Letter.key does."""
+    k = _least_rotation_start([2 * l.gen + (l.sign < 0) for l in letters])
+    return letters[k:] + letters[:k]
+
+
+def _least_rotation_start(keys: Sequence[int]) -> int:
+    """Where the lexicographically least rotation of the integer
+    sequence starts, by Booth's O(n) algorithm (Booth 1980)."""
+    n = len(keys)
     if n <= 1:
-        return letters
-    s = [2 * l.gen + (l.sign < 0) for l in letters] * 2
+        return 0
+    s = list(keys) * 2
     failure = [-1] * (2 * n)
     k = 0  # start of the least rotation found so far
     for j in range(1, 2 * n):
@@ -223,7 +229,7 @@ def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
             failure[j - k] = -1
         else:
             failure[j - k] = i + 1
-    return letters[k:] + letters[:k]
+    return k
 
 
 def free_reduce(letters: Iterable[Letter], alphabet: Alphabet) -> Word:

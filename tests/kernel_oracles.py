@@ -1,12 +1,15 @@
 """Reference implementations of the Stallings kernel, the conjugacy
-search, the least rotation and the Nielsen search, kept as test oracles
-for the fast paths that replaced them.
+search, the least rotation, the application of a Whitehead automorphism
+and the Nielsen search, kept as test oracles for the fast paths that
+replaced them.
 
 Each function is the straightforward version: fold restarts its scan
 after every merge, the peels recount every degree each round, intersect
 builds the whole product, arcs_from scans every edge, the conjugacy
 search tries every rotation at every vertex and the least rotation
-compares all n rotations; the Nielsen search keys its states by
+compares all n rotations; a Whitehead automorphism rewrites `Letter`s
+one by one, then reduces, cyclically reduces and rotates in full; the
+Nielsen search keys its states by
 (gen, sign) pairs and reduces every product in full; the parser reads
 every character by its case.  They are slow on
 purpose and use only the library's graph type, `components`,
@@ -142,6 +145,45 @@ def least_rotation(letters):
     keys = [l.key for l in letters]
     best = min(range(n), key=lambda r: [keys[(r + i) % n] for i in range(n)])
     return letters[best:] + letters[:best]
+
+
+def whitehead_letters(t, letters):
+    """The unreduced image of the letters under the Whitehead
+    automorphism t, substituting each letter's image."""
+    out = []
+    for l in letters:
+        if t.images is not None:
+            image = (t.images[l.gen],)
+        else:
+            m, x = t.mult, Letter(l.gen, 1)
+            image = ((x,), (x, m), (m.inverse(), x), (m.inverse(), x, m))[t.actions[l.gen]]
+        out.extend(image if l.sign > 0 else [y.inverse() for y in reversed(image)])
+    return out
+
+
+def reduce_letters(letters):
+    out = []
+    for l in letters:
+        if out and out[-1] == l.inverse():
+            out.pop()
+        else:
+            out.append(l)
+    return out
+
+
+def whitehead_word(t, w):
+    """t applied to a linear word, as a reduced letter tuple."""
+    return tuple(reduce_letters(whitehead_letters(t, w.letters)))
+
+
+def whitehead_cyclic(t, w):
+    """t applied to a cyclic word: reduce, strip the conjugator, take the
+    least rotation; a letter tuple."""
+    letters = whitehead_word(t, w)
+    i, j = 0, len(letters)
+    while i < j - 1 and letters[i] == letters[j - 1].inverse():
+        i, j = i + 1, j - 1
+    return least_rotation(letters[i:j])
 
 
 def conjugator_into(h, w):

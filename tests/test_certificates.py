@@ -12,8 +12,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 SCRIPT = r"""
 import sys
 
-from freegroups import ellipticity, whitehead
-from freegroups.whitehead import CertificateError, WhiteheadAut
+from freegroups import ellipticity, stallings, whitehead
+from freegroups.whitehead import CertificateError
 from freegroups.words import Alphabet, parse_cyclic, parse_word
 
 if not sys.flags.optimize:
@@ -49,12 +49,19 @@ expect_certificate_error(
 whitehead.apply_nielsen = real_apply
 
 # Whitehead-graph scoring: every applied move must give the predicted length.
-WhiteheadAut.apply_to_cyclic = lambda self, w: parse_cyclic("abb", w.alphabet)
+# Both the descent and the orbit apply moves through the code kernel.
+whitehead._cyclic_image = lambda images, word: (0, 2, 2)
 expect_certificate_error(
     "minimize_tuple", lambda: whitehead.minimize_tuple((parse_cyclic("ab", A2),))
 )
 expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
+)
+
+# Folding keeps the base vertex of the wedge it folds.
+stallings.fold = lambda g: g.with_base(None)
+expect_certificate_error(
+    "build_subgroup", lambda: stallings.build_subgroup([parse_word("ab", A2)], A2)
 )
 """
 
@@ -77,4 +84,5 @@ def test_certificate_checks_survive_optimized_mode():
         "nielsen_decompose raised",
         "minimize_tuple raised",
         "equal_length_orbit raised",
+        "build_subgroup raised",
     ]

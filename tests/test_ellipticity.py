@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -441,11 +442,41 @@ class TestNielsenBound:
         assert nielsen_bound(split("ab | b"), split("a | b")) == 6
 
     def test_rank_one_rejected(self):
+        # Two proper factors need rank two, so no rank-one splitting is
+        # ever certified.
         a1 = Alphabet.of_rank(1)
         w = parse_word("a", a1)
-        fake = FreeSplitting(a1, (w,), (w,), verified=True)
-        with pytest.raises(ValueError):
-            nielsen_bound(fake, fake)
+        with pytest.raises(RankMismatchError):
+            verify_splitting([w], [w], a1)
+
+
+class TestForgedSplittings:
+    def test_forged_splittings_are_refused_by_every_decider(self):
+        real = split("ab | b")
+        a, b = parse_word("a", A2), parse_word("b", A2)
+        with pytest.raises(TypeError):
+            FreeSplitting(A2, (a,), (b,), verified=True)
+        with pytest.raises(TypeError):
+            FreeSplitting(A2, (a,), (b,), _certificate=real._certificate)
+        forged = (
+            FreeSplitting(A2, (a,), (b,)),
+            dataclasses.replace(real, basis_a=(a,)),
+            dataclasses.replace(real),
+        )
+        for fake in forged:
+            assert not fake.verified
+            calls = (
+                lambda: splittings_distance_two(fake, real),
+                lambda: splittings_distance_two(real, fake),
+                lambda: word_elliptic(a, fake),
+                lambda: primitive_in_intersection(fake, "A", real, "B"),
+                lambda: primitive_in_intersection(real, "A", fake, "B"),
+                lambda: nielsen_bound(fake, real),
+                lambda: nielsen_bound(real, fake),
+            )
+            for call in calls:
+                with pytest.raises(UnverifiedSplittingError):
+                    call()
 
 
 class TestAnswerType:

@@ -1,8 +1,7 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
-rotation, the orbit's relabeling pass, the Nielsen search and the parser
-returns
-exactly what the code it replaced returns (the oracles in
-`kernel_oracles.py`)."""
+rotation, the code kernel that applies Whitehead automorphisms, the
+Nielsen search and the parser returns exactly what the code it replaced
+returns (the oracles in `kernel_oracles.py`)."""
 
 import kernel_oracles as oracle
 from hypothesis import given, settings, strategies as st
@@ -23,10 +22,14 @@ from freegroups.whitehead import (
     _bidirectional_search,
     _code,
     _elementary_moves,
+    _cyclic_image,
     _join,
-    _relabel,
+    _vertices,
+    Action,
+    WhiteheadAut,
     apply_nielsen,
     enumerate_relabelings,
+    enumerate_whitehead,
 )
 from freegroups.words import (
     Alphabet,
@@ -37,6 +40,7 @@ from freegroups.words import (
     _least_rotation,
     _parse_letters,
     free_reduce,
+    parse_word,
 )
 
 FAMILIES = ("random", "powers", "conjugator", "prefix", "periodic", "tiny")
@@ -201,16 +205,76 @@ class TestLeastRotation:
         assert _least_rotation(seq) == oracle.least_rotation(seq)
 
 
+def check_kernel(t, w):
+    """t applied to the reduced word w and to its cyclic word, by the code
+    kernel, equals the letter-by-letter oracle."""
+    assert t.apply_to_word(w).letters == oracle.whitehead_word(t, w)
+    c = CyclicWord.from_word(w)
+    expected = oracle.whitehead_cyclic(t, c)
+    assert _cyclic_image(t._code_images, _vertices(c.letters)) == _vertices(expected)
+    assert t.apply_to_cyclic(c).letters == expected
+
+
+def reduced_words(alphabet, max_len):
+    out, layer = [Word(alphabet)], [()]
+    for _ in range(max_len):
+        layer = [
+            seq + (l,)
+            for seq in layer
+            for l in (Letter(g, s) for g in range(alphabet.rank) for s in (1, -1))
+            if not (seq and seq[-1] == l.inverse())
+        ]
+        out.extend(Word(alphabet, seq) for seq in layer)
+    return out
+
+
+kernel_cases = st.sampled_from((2, 3)).flatmap(
+    lambda r: st.lists(letters(r), max_size=12).map(lambda s: (r, s)))
+
+
 class TestRelabeling:
     @settings(max_examples=60, deadline=None)
-    @given(st.sampled_from((2, 3)).flatmap(
-        lambda r: st.lists(letters(r), max_size=12).map(lambda s: (r, s))))
+    @given(kernel_cases)
     def test_matches_apply_to_cyclic(self, case):
         rank, seq = case
-        alphabet = Alphabet.of_rank(rank)
-        w = CyclicWord.from_word(free_reduce(seq, alphabet))
+        w = free_reduce(seq, Alphabet.of_rank(rank))
         for t in enumerate_relabelings(rank):
-            assert _relabel(t.images, w) == t.apply_to_cyclic(w)
+            check_kernel(t, w)
+
+
+class TestMultiplierKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(kernel_cases)
+    def test_every_multiplier(self, case):
+        rank, seq = case
+        w = free_reduce(seq, Alphabet.of_rank(rank))
+        for t in enumerate_whitehead(rank):
+            check_kernel(t, w)
+
+    def test_every_short_word(self):
+        # Every reduced word of length <= 4 at rank 2, and single letters
+        # and the empty word at rank 3, under every automorphism.
+        for rank, max_len in ((2, 4), (3, 1)):
+            alphabet = Alphabet.of_rank(rank)
+            autos = enumerate_whitehead(rank) + enumerate_relabelings(rank)
+            for w in reduced_words(alphabet, max_len):
+                for t in autos:
+                    check_kernel(t, w)
+
+    def test_whole_images_cancel_at_junctions(self):
+        a2, a3 = Alphabet.of_rank(2), Alphabet.of_rank(3)
+        keep, right, conj = Action.KEEP, Action.RIGHT, Action.CONJ
+        # b -> ba, so the image A of the second letter cancels in full.
+        t = WhiteheadAut.multiplier(2, Letter(0, 1), (keep, right))
+        assert str(t.apply_to_word(parse_word("bA", a2))) == "b"
+        # b -> Aba and c -> Aca: a whole conjugator cancels between them.
+        t = WhiteheadAut.multiplier(3, Letter(0, 1), (keep, conj, conj))
+        assert str(t.apply_to_word(parse_word("bC", a3))) == "AbCa"
+        assert str(t.apply_to_cyclic(CyclicWord.from_word(parse_word("bC", a3)))) == "bC"
+        for text, alphabet in (("bA", a2), ("bC", a3), ("bCbC", a3), ("aBAb", a3)):
+            w = parse_word(text, alphabet)
+            for t in enumerate_whitehead(alphabet.rank):
+                check_kernel(t, w)
 
 
 @st.composite

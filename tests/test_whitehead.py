@@ -1,10 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from freegroups import whitehead
+from freegroups.cli import run
 from freegroups.whitehead import (
+    WHITEHEAD_BUDGET,
     Action,
     NielsenTransformation,
     NotABasisError,
@@ -24,7 +28,13 @@ from freegroups.whitehead import (
     same_orbit,
     standard_basis,
     total_length,
+    WhiteheadBudgetError,
+    _flow_reaches,
     _length_changes,
+    _multiplier,
+    _multiplier_cuts,
+    _vertices,
+    _whitehead_graph,
 )
 from freegroups.words import (
     Alphabet,
@@ -280,15 +290,62 @@ class TestWhiteheadGraph:
     @settings(max_examples=40, deadline=None)
     @given(cyclic_tuples())
     def test_predicted_change_matches_application(self, ws):
+        # A bound of 0 prunes nothing, so every candidate is scored.
+        rank = ws[0].alphabet.rank
         before = total_length(ws)
-        changes = list(_length_changes(ws, ws[0].alphabet.rank))
-        assert [t for t, _ in changes] == list(enumerate_whitehead(ws[0].alphabet.rank))
-        for t, change in changes:
+        changes = list(_length_changes(codes_of(ws), rank, 0))
+        autos = enumerate_whitehead(rank)
+        assert [_multiplier(rank, m, code) for m, code, _ in changes] == list(autos)
+        for t, (_, _, change) in zip(autos, changes):
             assert total_length([t.apply_to_cyclic(w) for w in ws]) - before == change
+
+    @settings(max_examples=80, deadline=None)
+    @given(cyclic_tuples(ranks=(2, 3, 4, 5)), st.integers(-3, 0))
+    def test_pruned_scan_keeps_the_blocks_that_reach_the_bound(self, ws, bound):
+        assert_pruned_scan(ws, bound)
+
+    # An absent generator (degree 0), a minimal word (every cut equals
+    # the degree), multi-word tuples and a 17-step descent.
+    PRUNE_CASES = [(3, "ab"), (4, "abAB"), (4, "abcABC aab"), (5, "abcABC deDE abd"),
+                   (5, "aeDEbcdcdEbcdcedcdB"), (2, "aab a")]
+
+    @pytest.mark.parametrize("rank,texts", PRUNE_CASES)
+    def test_pruned_scan_examples(self, rank, texts):
+        ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
+        for bound in (-3, -2, -1, 0):
+            assert_pruned_scan(ws, bound)
+
+    def test_pruning_cases_cover_zero_degree_and_full_cuts(self):
+        graph, degrees = _whitehead_graph(codes_of((cyc("ab", A3),)), 3)
+        assert degrees[4] == 0 and _flow_reaches(graph, 6, 4, 0)
+        graph, degrees = _whitehead_graph(codes_of((cyc("abAB", Alphabet.of_rank(4)),)), 4)
+        assert degrees[0] == 2 and _flow_reaches(graph, 8, 0, 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cyclic_tuples(ranks=(2, 3, 4)))
+    def test_flow_matches_brute_force_min_cut(self, ws):
+        rank = ws[0].alphabet.rank
+        size = 2 * rank
+        graph, degrees = _whitehead_graph(codes_of(ws), rank)
+        for x in range(size):
+            others = [v for v in range(size) if v not in (x, x ^ 1)]
+            cut = min(
+                sum(graph[a * size + b] for a in side for b in range(size) if b not in side)
+                for k in range(len(others) + 1)
+                for extra in itertools.combinations(others, k)
+                for side in [{x, *extra}]
+            )
+            for target in range(degrees[x] + 2):
+                assert _flow_reaches(graph, size, x, target) == (cut >= target)
 
     @settings(max_examples=60, deadline=None)
     @given(cyclic_tuples())
     def test_descent_matches_brute_force(self, ws):
+        assert minimize_tuple(ws) == brute_force_minimize(ws)
+
+    @settings(max_examples=10, deadline=None)
+    @given(cyclic_tuples(ranks=(5,), max_words=2, max_len=5))
+    def test_rank5_descent_matches_brute_force(self, ws):
         assert minimize_tuple(ws) == brute_force_minimize(ws)
 
     @settings(max_examples=25, deadline=None)
@@ -298,6 +355,25 @@ class TestWhiteheadGraph:
         # The oracle costs seconds on rank-3 orbits of longer tuples.
         assume(minimal[0].alphabet.rank == 2 or total_length(minimal) <= 4)
         assert equal_length_orbit(minimal) == brute_force_orbit(minimal)
+
+
+def codes_of(ws):
+    return [_vertices(w.letters) for w in ws]
+
+
+def assert_pruned_scan(ws, bound):
+    """The pruned scan yields, in order, exactly the candidates of the full
+    scan whose generator has a candidate with change <= bound in either
+    of its two blocks; a bound of 0 prunes nothing."""
+    rank = ws[0].alphabet.rank
+    full = list(_length_changes(codes_of(ws), rank, 0))
+    assert len(full) == len(enumerate_whitehead(rank))
+    if bound < 0:
+        kept = {m >> 1 for m, _, change in full if change <= bound}
+    else:
+        kept = set(range(rank))
+    pruned = list(_length_changes(codes_of(ws), rank, bound))
+    assert pruned == [c for c in full if c[0] >> 1 in kept]
 
 
 class TestDescentWork:
@@ -325,6 +401,56 @@ class TestDescentWork:
         _, descent = minimize_tuple(ws)
         assert len(descent) == steps
         assert len(calls) == len(ws) * len(descent)
+
+
+class TestNoAutomorphismTable:
+    def test_requests_build_no_automorphism_objects(self):
+        enumerate_whitehead.cache_clear()
+        enumerate_relabelings.cache_clear()
+        for argv in (
+            ["wmin", "-n", "5", "--steps", "aeDEbcdcdEbcdcedcdB"],
+            ["wmin", "-n", "5", "abcABC deDE abd"],
+            ["primitive", "-n", "5", "abcdeab"],
+            ["dist2-word", "-n", "4", "abcab", "bcd"],
+            ["orbit", "-n", "3", "Acb"],
+        ):
+            assert run(argv)[0] in (0, 1)
+        assert enumerate_whitehead.cache_info().currsize == 0
+        assert enumerate_relabelings.cache_info().currsize == 0
+
+
+class TestBudgets:
+    def test_default_admits_rank_six(self):
+        assert 2 * 6 * (4**5 - 1) <= WHITEHEAD_BUDGET
+        assert math.factorial(6) * 2**6 <= WHITEHEAD_BUDGET
+
+    def test_enumerations_check_the_budget(self, monkeypatch):
+        # Rank 2 has 12 multipliers and 8 relabelings.
+        enumerate_whitehead.cache_clear()
+        enumerate_relabelings.cache_clear()
+        _multiplier_cuts.cache_clear()
+        monkeypatch.setattr(whitehead, "WHITEHEAD_BUDGET", 11)
+        with pytest.raises(WhiteheadBudgetError):
+            enumerate_whitehead(2)
+        with pytest.raises(WhiteheadBudgetError):
+            minimize_tuple((cyc("ab"),))
+        assert len(enumerate_relabelings(2)) == 8
+        monkeypatch.setattr(whitehead, "WHITEHEAD_BUDGET", 7)
+        enumerate_relabelings.cache_clear()
+        with pytest.raises(WhiteheadBudgetError):
+            enumerate_relabelings(2)
+        with pytest.raises(WhiteheadBudgetError):
+            equal_length_orbit((cyc("a"),))
+        # The orbit refused before it built the cut table.
+        assert _multiplier_cuts.cache_info().currsize == 0
+
+    def test_cli_exits_2_over_budget(self, monkeypatch):
+        _multiplier_cuts.cache_clear()
+        monkeypatch.setattr(whitehead, "WHITEHEAD_BUDGET", 11)
+        message = "error: rank 2 has 12 multiplier automorphisms, over the budget of 11\n"
+        assert run(["wmin", "-n", "2", "ab"]) == (2, "", message)
+        assert run(["primitive", "-n", "2", "ab"]) == (2, "", message)
+        assert run(["orbit", "-n", "2", "ab"]) == (2, "", message)
 
 
 class TestOrbits:

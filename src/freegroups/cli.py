@@ -11,10 +11,8 @@ quoted argument of whitespace-separated generator words; splittings are
 from __future__ import annotations
 
 import argparse
-import io
 import string
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
 
 from .ellipticity import (
@@ -40,14 +38,18 @@ from .whitehead import classify_pair, equal_length_orbit, is_primitive, minimize
 from .words import Alphabet, WordFormatError, parse_cyclic, parse_word
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """End the invocation early with (exit code, stdout, stderr)."""
 
 
 class _Parser(argparse.ArgumentParser):
-    # raise instead of exiting so run() stays a pure function
+    # Raise instead of printing and exiting, so that run() stays a pure
+    # function and writes to no shared stream.
     def error(self, message):
-        raise _UsageError("%serror: %s" % (self.format_usage(), message))
+        raise _Exit(2, "", "%serror: %s\n" % (self.format_usage(), message))
+
+    def print_help(self, file=None):
+        raise _Exit(0, self.format_help(), "")
 
 
 @lru_cache(maxsize=None)
@@ -133,12 +135,12 @@ def _build_parser() -> _Parser:
 def _alphabet_of(args) -> Alphabet:
     if args.rank is not None:
         if args.rank < 1:
-            raise _UsageError("error: rank must be at least 1")
+            raise _Exit(2, "", "error: rank must be at least 1\n")
         return Alphabet.of_rank(args.rank)
     symbols = tuple(args.alphabet)
     if any(c not in string.ascii_lowercase for c in symbols):
-        raise _UsageError(
-            "error: alphabet symbols must be lowercase letters, got %r"
+        raise _Exit(
+            2, "", "error: alphabet symbols must be lowercase letters, got %r\n"
             % (args.alphabet,)
         )
     return Alphabet(symbols)
@@ -169,45 +171,40 @@ def _splitting(text: str, alphabet: Alphabet):
     )
 
 
-def _print_graph(graph, alphabet: Alphabet, dot: bool) -> None:
-    sys.stdout.write(graph_to_text(graph, alphabet))
-    if dot:
-        sys.stdout.write(graph_to_dot(graph, alphabet))
+def _lines(items) -> str:
+    return "".join("%s\n" % x for x in items)
 
 
-def _bool_answer(ok: bool) -> int:
-    print("true" if ok else "false")
-    return 0 if ok else 1
+def _graph(graph, alphabet: Alphabet, dot: bool) -> tuple[int, str]:
+    text = graph_to_text(graph, alphabet)
+    return 0, (text + graph_to_dot(graph, alphabet) if dot else text)
 
 
-def _dispatch(args, stdin: str) -> int:
+def _bool_answer(ok: bool) -> tuple[int, str]:
+    return (0, "true\n") if ok else (1, "false\n")
+
+
+def _dispatch(args, stdin: str) -> tuple[int, str]:
+    """Run the parsed command: its exit code and its standard output."""
     alphabet = _alphabet_of(args)
     c = args.command
     if c == "reduce":
-        print(parse_word(args.word, alphabet))
-        return 0
+        return 0, _lines([parse_word(args.word, alphabet)])
     if c == "cyclic":
-        print(parse_cyclic(args.word, alphabet))
-        return 0
+        return 0, _lines([parse_cyclic(args.word, alphabet)])
     if c == "graph":
-        _print_graph(_subgroup(args.generators, alphabet).graph, alphabet, args.dot)
-        return 0
+        return _graph(_subgroup(args.generators, alphabet).graph, alphabet, args.dot)
     if c == "member":
         h = _subgroup(args.generators, alphabet)
         return _bool_answer(contains(h, parse_word(args.word, alphabet)))
     if c == "basis":
-        for w in spanning_tree_basis(_subgroup(args.generators, alphabet)):
-            print(w)
-        return 0
+        return 0, _lines(spanning_tree_basis(_subgroup(args.generators, alphabet)))
     if c == "type":
-        _print_graph(type_graph(_subgroup(args.generators, alphabet)), alphabet,
-                     args.dot)
-        return 0
+        return _graph(type_graph(_subgroup(args.generators, alphabet)), alphabet, args.dot)
     if c == "intersect":
         met = intersect(_subgroup(args.generators1, alphabet),
                         _subgroup(args.generators2, alphabet))
-        _print_graph(met.graph, alphabet, args.dot)
-        return 0
+        return _graph(met.graph, alphabet, args.dot)
     if c == "conjugate":
         return _bool_answer(
             conjugate_subgroups(_subgroup(args.generators1, alphabet),
@@ -229,67 +226,50 @@ def _dispatch(args, stdin: str) -> int:
     if c == "wmin":
         tup = tuple(parse_cyclic(t, alphabet) for t in args.words.split())
         minimal, descent = minimize_tuple(tup)
-        print(" ".join(str(w) for w in minimal))
-        if args.steps:
-            for t in descent:
-                print(t.describe(alphabet))
-        return 0
+        steps = [t.describe(alphabet) for t in descent] if args.steps else []
+        return 0, _lines([" ".join(str(w) for w in minimal)] + steps)
     if c == "orbit":
         tup = tuple(parse_cyclic(t, alphabet) for t in args.words.split())
-        lines = sorted(
+        return 0, _lines(sorted(
             " ".join(str(w) for w in member) for member in equal_length_orbit(tup)
-        )
-        for line in lines:
-            print(line)
-        return 0
+        ))
     if c == "primitive":
         return _bool_answer(is_primitive(parse_word(args.word, alphabet)))
     if c == "good":
         cls = classify_pair(parse_cyclic(args.word1, alphabet),
                             parse_cyclic(args.word2, alphabet))
-        print(cls.text)
-        return 0 if cls.is_good else 1
+        return 0 if cls.is_good else 1, _lines([cls.text])
     if c == "dist2-split":
         ans = splittings_distance_two(_splitting(args.splitting1, alphabet),
                                       _splitting(args.splitting2, alphabet))
-        print(ans)
-        return 0 if ans.decision else 1
+        return 0 if ans.decision else 1, _lines([ans])
     if c == "dist2-word":
         ans = words_distance_two(parse_cyclic(args.word1, alphabet),
                                  parse_cyclic(args.word2, alphabet))
-        print(ans)
-        return 0 if ans.decision else 1
+        return 0 if ans.decision else 1, _lines([ans])
     if c == "prim-intersect":
-        got = primitive_in_intersection(
+        return 0, _lines([primitive_in_intersection(
             _splitting(args.splitting1, alphabet), args.factor1,
             _splitting(args.splitting2, alphabet), args.factor2,
-        )
-        print(got)
-        return 0
+        )])
     if c == "nielsen-bound":
-        print(nielsen_bound(_splitting(args.splitting1, alphabet),
-                            _splitting(args.splitting2, alphabet)))
-        return 0
+        return 0, _lines([nielsen_bound(_splitting(args.splitting1, alphabet),
+                                        _splitting(args.splitting2, alphabet))])
     raise AssertionError("unhandled command %r" % c)
 
 
 def run(argv, stdin: str = "") -> tuple[int, str, str]:
-    """Execute one invocation purely: (exit code, stdout, stderr)."""
-    out_io, err_io = io.StringIO(), io.StringIO()
-    code = 0
-    with redirect_stdout(out_io), redirect_stderr(err_io):
-        try:
-            args = _build_parser().parse_args(argv)
-            code = _dispatch(args, stdin)
-        except SystemExit as e:  # argparse --help
-            code = e.code if isinstance(e.code, int) else 0
-        except _UsageError as e:
-            print(e, file=sys.stderr)
-            code = 2
-        except ValueError as e:  # parse and semantic errors from the library
-            print("error: %s" % e, file=sys.stderr)
-            code = 2
-    return code, out_io.getvalue(), err_io.getvalue()
+    """Execute one invocation purely: (exit code, stdout, stderr).
+
+    The output is this call's own text, never written to a shared
+    stream, so concurrent calls from several threads cannot mix it."""
+    try:
+        code, out = _dispatch(_build_parser().parse_args(argv), stdin)
+    except _Exit as e:
+        return e.args
+    except ValueError as e:  # parse and semantic errors from the library
+        return 2, "", "error: %s\n" % e
+    return code, out, ""
 
 
 def main(argv=None) -> int:

@@ -25,10 +25,10 @@ from .stallings import (
     CertificateError,
     Subgroup,
     XDigraph,
+    _find_cycle,
     _is_rose,
     build_subgroup,
     contains_conjugate,
-    find_cycle,
     intersect,
     product,
     spanning_tree_basis,
@@ -41,13 +41,12 @@ from .whitehead import (
     minimize_tuple,
     moves_apply_word,
     moves_apply_word_inverse,
-    nielsen_decompose,
+    standard_basis,
 )
 from .words import (
     Alphabet,
     AlphabetMismatchError,
     CyclicWord,
-    Letter,
     TrivialWordError,
     Word,
     cyclic_reduce,
@@ -215,10 +214,9 @@ def splittings_distance_two(
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
         prod = product(s1._type_graph(i), s2._type_graph(j))
-        found = find_cycle(prod)
+        found = _find_cycle(prod)
         if found is not None:
-            letters, _ = found
-            return EllipticityAnswer(True, CyclicWord(s1.alphabet, letters))
+            return EllipticityAnswer(True, CyclicWord._of(s1.alphabet, found[0]))
     return EllipticityAnswer(False)
 
 
@@ -259,8 +257,9 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
     else:  # frugal only: both supports fit in one proper factor
         x1 = set(letter_support(mv) | letter_support(mw))
     x2 = set(range(alphabet.rank)) - x1
-    basis_a = [Word(alphabet, (Letter(g, 1),)) for g in sorted(x1)]
-    basis_b = [Word(alphabet, (Letter(g, 1),)) for g in sorted(x2)]
+    std = standard_basis(alphabet)
+    basis_a = [std[g] for g in sorted(x1)]
+    basis_b = [std[g] for g in sorted(x2)]
     for t in reversed(descent):
         back = t.inverse()
         basis_a = [back.apply_to_word(u) for u in basis_a]
@@ -299,10 +298,8 @@ def primitive_in_intersection(
     i1, i2 = factor_index(factor1), factor_index(factor2)
     moves = _rebase_moves(alphabet, s1.combined)
     k = len(s1.basis_a)
-    gens = range(k) if i1 == 0 else range(k, alphabet.rank)
-    sub_rose = build_subgroup(
-        [Word(alphabet, (Letter(g, 1),)) for g in gens], alphabet
-    )
+    std = standard_basis(alphabet)
+    sub_rose = build_subgroup(list(std[:k] if i1 == 0 else std[k:]), alphabet)
     rebased_k = build_subgroup(
         [moves_apply_word_inverse(moves, u) for u in s2.basis(i2)], alphabet
     )
@@ -317,11 +314,13 @@ def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     ellipticity graph: twice the number of elementary Nielsen moves
     relating s2's combined basis to s1's.
 
-    Zero exactly when the bases agree as ordered tuples.
+    Zero exactly when the bases agree as ordered tuples.  Both
+    certificates make s2's combined basis, carried over s1, a basis, so
+    it is decomposed without a second fold.
     """
     _require_verified(s1)
     _require_verified(s2)
     _require_same_alphabet(s1, s2)
     moves = _rebase_moves(s1.alphabet, s1.combined)
-    over_s1 = [moves_apply_word_inverse(moves, u) for u in s2.combined]
-    return 2 * len(nielsen_decompose(over_s1, s1.alphabet))
+    over_s1 = tuple([moves_apply_word_inverse(moves, u) for u in s2.combined])
+    return 2 * len(_decompose_basis(over_s1, s1.alphabet))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -24,8 +24,10 @@ from .words import (
     AlphabetMismatchError,
     Letter,
     Word,
+    _arc_letters,
     _conjugator_length,
-    free_reduce,
+    _inverse,
+    _reduce,
 )
 
 
@@ -59,6 +61,8 @@ class XDigraph(object):
     base: int | None = None
 
     def __post_init__(self) -> None:
+        if self.vertex_count < 0:
+            raise ValueError("vertex count %d is negative" % self.vertex_count)
         edges = tuple(sorted(map(tuple, self.edges), key=itemgetter(0, 2, 1)))
         object.__setattr__(self, "edges", edges)
         for o, t, l in edges:
@@ -90,42 +94,51 @@ class XDigraph(object):
         return True
 
     @cached_property
-    def _steps(self) -> dict[tuple[int, int, int], int]:
-        # (vertex, label, sign) -> next vertex; folded graphs only.
+    def _steps(self) -> dict[tuple[int, int], int]:
+        # (vertex, letter code) -> next vertex; folded graphs only.
         if not self.is_folded:
             raise NotFoldedError("graph is not folded")
-        table: dict[tuple[int, int, int], int] = {}
+        table: dict[tuple[int, int], int] = {}
         for o, t, l in self.edges:
-            table[(o, l, 1)] = t
-            table[(t, l, -1)] = o
+            table[(o, 2 * l)] = t
+            table[(t, 2 * l + 1)] = o
         return table
 
     def step(self, v: int, letter: Letter) -> int | None:
         """Follow one letter from v (inverse letters walk edges backwards)."""
-        return self._steps.get((v, letter.gen, letter.sign))
+        return self._steps.get((v, letter.code))
+
+    def _walk(self, v: int, codes: Iterable[int]) -> int | None:
+        """Where the code word leads from v, or None if it falls off."""
+        steps = self._steps
+        for c in codes:
+            v = steps.get((v, c))  # type: ignore[assignment]
+            if v is None:
+                return None
+        return v
 
     @cached_property
-    def _arcs(self) -> tuple[tuple[tuple[Letter, int, int], ...], ...]:
-        # Per vertex, its arcs sorted by (letter, head, edge index).
-        letters = _arc_letters(self.rank)
+    def _arcs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        # Per vertex, its arcs (letter code, head, edge index) in sorted
+        # order: an edge labelled l reads code 2l forwards, 2l + 1 back.
         flat = []
         for eid, (o, t, l) in enumerate(self.edges):
             flat.append((o, 2 * l, t, eid))
             flat.append((t, 2 * l + 1, o, eid))
         flat.sort()
-        lists: list[list[tuple[Letter, int, int]]] = [[] for _ in range(self.vertex_count)]
+        lists: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for v, k, head, eid in flat:
-            lists[v].append((letters[k], head, eid))
+            lists[v].append((k, head, eid))
         return tuple(map(tuple, lists))
 
     def arcs_from(self, v: int) -> tuple[tuple[Letter, int, int], ...]:
         """All arcs leaving v in the symmetrized graph, sorted by letter.
 
         Returns (letter, head, edge index) triples; a loop contributes
-        one positive and one negative arc.  The arcs of every vertex are
-        built together on first use and shared by later calls.
+        one positive and one negative arc.
         """
-        return self._arcs[v]
+        letters = _arc_letters(self.rank)
+        return tuple([(letters[k], head, eid) for k, head, eid in self._arcs[v]])
 
     def components(self) -> list[list[int]]:
         seen = [False] * self.vertex_count
@@ -149,12 +162,6 @@ class XDigraph(object):
 
     def with_base(self, v: int | None) -> "XDigraph":
         return XDigraph(self.rank, self.vertex_count, self.edges, v)
-
-
-@lru_cache(maxsize=None)
-def _arc_letters(rank: int) -> tuple[Letter, ...]:
-    # Letter 2 * gen + (1 for an inverse), as arcs key their letters.
-    return tuple(Letter(k >> 1, -1 if k & 1 else 1) for k in range(2 * rank))
 
 
 def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
@@ -354,14 +361,14 @@ def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
         if w.is_trivial:
             continue
         prev = 0
-        for i, letter in enumerate(w.letters):
-            nxt = 0 if i == len(w.letters) - 1 else n_vertices
+        for i, c in enumerate(w.codes):
+            nxt = 0 if i == len(w.codes) - 1 else n_vertices
             if nxt != 0:
                 n_vertices += 1
-            if letter.sign > 0:
-                edges.append((prev, nxt, letter.gen))
+            if c & 1:
+                edges.append((nxt, prev, c >> 1))
             else:
-                edges.append((nxt, prev, letter.gen))
+                edges.append((prev, nxt, c >> 1))
             prev = nxt
     wedge = XDigraph(alphabet.rank, n_vertices, tuple(edges), base=0)
     folded = fold(wedge)
@@ -374,13 +381,7 @@ def contains(h: Subgroup, w: Word) -> bool:
     """Trace w letter by letter from the base; membership iff it closes up."""
     if w.alphabet != h.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    v = h.base
-    for letter in w.letters:
-        nxt = h.graph.step(v, letter)
-        if nxt is None:
-            return False
-        v = nxt
-    return v == h.base
+    return h.graph._walk(h.base, w.codes) == h.base
 
 
 def contains_conjugate(h: Subgroup, w: Word) -> bool:
@@ -399,20 +400,15 @@ def conjugator_into(h: Subgroup, w: Word) -> "Word | None":
     """
     if w.alphabet != h.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    letters = w.letters
-    i = _conjugator_length(letters)
-    strip = Word(w.alphabet, letters[:i])
-    r = letters[i : len(letters) - i]
+    codes = w.codes
+    i = _conjugator_length(codes)
+    strip = Word._of(w.alphabet, codes[:i])
+    r = codes[i : len(codes) - i]
     if not r:
         return Word(w.alphabet)
     g = h.graph
     for u in range(g.vertex_count):
-        v: int | None = u
-        for letter in r:
-            v = g.step(v, letter)  # type: ignore[arg-type]
-            if v is None:
-                break
-        if v == u:
+        if g._walk(u, r) == u:
             return path_word(g, h.base, u, h.alphabet) * ~strip
     return None
 
@@ -472,13 +468,13 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
     stack = [start]
     while stack:
         pair = u1, u2 = stack.pop()
-        for (l, sign), far1, _ in arcs1[u1]:
-            far2 = steps2.get((u2, l, sign))
+        for c, far1, _ in arcs1[u1]:
+            far2 = steps2.get((u2, c))
             if far2 is None:
                 continue
             far = (far1, far2)
-            origin, terminus = (pair, far) if sign > 0 else (far, pair)
-            key = (origin[0], l, origin[1])
+            origin, terminus = (far, pair) if c & 1 else (pair, far)
+            key = (origin[0], c >> 1, origin[1])
             edges[key] = terminus
             for other, touch in ((origin, key + (0,)), (terminus, key + (1,))):
                 if other not in first:
@@ -524,12 +520,13 @@ def digraph_isomorphic(
 
 
 def _propagate(g: XDigraph, h: XDigraph, seed: int, cand: int) -> bool:
+    arcs, steps = g._arcs, h._steps
     mapping = {seed: cand}
     queue = deque([seed])
     while queue:
         v = queue.popleft()
-        for letter, to, _ in g.arcs_from(v):
-            image = h.step(mapping[v], letter)
+        for c, to, _ in arcs[v]:
+            image = steps.get((mapping[v], c))
             if image is None:
                 return False
             if to in mapping:
@@ -551,33 +548,33 @@ def spanning_tree_basis(h: Subgroup) -> list[Word]:
     the output is deterministic; its length is edges - vertices + 1.
     """
     g = h.graph
-    parent: dict[int, tuple[int, Letter] | None] = {h.base: None}
+    arcs = g._arcs
+    parent: dict[int, tuple[int, int] | None] = {h.base: None}
     tree_edges: set[int] = set()
     queue = deque([h.base])
     while queue:
         v = queue.popleft()
-        for letter, to, eid in g.arcs_from(v):
+        for c, to, eid in arcs[v]:
             if to not in parent:
-                parent[to] = (v, letter)
+                parent[to] = (v, c)
                 tree_edges.add(eid)
                 queue.append(to)
 
-    def path_from_base(v: int) -> list[Letter]:
-        letters: list[Letter] = []
+    def path_from_base(v: int) -> tuple[int, ...]:
+        codes: list[int] = []
         while True:
             up = parent[v]
             if up is None:
-                return letters[::-1]
-            v, letter = up[0], up[1]
-            letters.append(letter)
+                return tuple(codes[::-1])
+            v, c = up
+            codes.append(c)
 
     basis = []
     for eid, (o, t, l) in enumerate(g.edges):
         if eid in tree_edges:
             continue
-        down = path_from_base(o)
-        back = [x.inverse() for x in reversed(path_from_base(t))]
-        basis.append(free_reduce(down + [Letter(l, 1)] + back, h.alphabet))
+        down = path_from_base(o) + (2 * l,)
+        basis.append(Word._of(h.alphabet, _reduce(down + _inverse(path_from_base(t)))))
     return basis
 
 
@@ -599,31 +596,41 @@ def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
     """The first cycle discovered by depth-first search, as (label word,
     anchor vertex).  The word is a nontrivial cyclically reduced label of
     a closed path at the anchor.  None when the graph is a forest."""
+    found = _find_cycle(g)
+    if found is None:
+        return None
+    letters = _arc_letters(g.rank)
+    return tuple([letters[c] for c in found[0]]), found[1]
+
+
+def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
+    """find_cycle with the label word as letter codes."""
+    all_arcs = g._arcs
     visited: set[int] = set()
     for start in range(g.vertex_count):
         if start in visited:
             continue
-        # Stack entries: (vertex, arc iterator, entering edge id, entering letter)
+        # Stack entries: (vertex, arc iterator, entering edge id)
         on_stack = {start: 0}
-        order = [(start, None)]  # (vertex, letter that entered it)
-        stack = [(start, iter(g.arcs_from(start)), -1)]
+        order = [(start, None)]  # (vertex, code that entered it)
+        stack = [(start, iter(all_arcs[start]), -1)]
         visited.add(start)
         while stack:
             v, arcs, enter_eid = stack[-1]
             advanced = False
-            for letter, to, eid in arcs:
+            for c, to, eid in arcs:
                 if eid == enter_eid:
                     continue
                 if to in on_stack:
                     depth = on_stack[to]
-                    letters = tuple(l for _, l in order[depth + 1 :]) + (letter,)
-                    return letters, to
+                    codes = tuple([k for _, k in order[depth + 1 :]]) + (c,)
+                    return codes, to
                 if to in visited:
                     continue
                 visited.add(to)
                 on_stack[to] = len(order)
-                order.append((to, letter))
-                stack.append((to, iter(g.arcs_from(to)), eid))
+                order.append((to, c))
+                stack.append((to, iter(all_arcs[to]), eid))
                 advanced = True
                 break
             if not advanced:
@@ -635,22 +642,23 @@ def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
 
 def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
     """The label of a shortest u-to-v path in the symmetrized graph."""
-    parent: dict[int, tuple[int, Letter] | None] = {u: None}
+    arcs = g._arcs
+    parent: dict[int, tuple[int, int] | None] = {u: None}
     queue = deque([u])
     while queue and v not in parent:
         x = queue.popleft()
-        for letter, to, _ in g.arcs_from(x):
+        for c, to, _ in arcs[x]:
             if to not in parent:
-                parent[to] = (x, letter)
+                parent[to] = (x, c)
                 queue.append(to)
     if v not in parent:
         raise ValueError("no path between %d and %d" % (u, v))
-    letters: list[Letter] = []
+    codes: list[int] = []
     walk = v
     while parent[walk] is not None:
-        walk, letter = parent[walk]  # type: ignore[misc]
-        letters.append(letter)
-    return free_reduce(letters[::-1], alphabet)
+        walk, c = parent[walk]  # type: ignore[misc]
+        codes.append(c)
+    return Word._of(alphabet, _reduce(codes[::-1]))
 
 
 def graph_to_text(g: XDigraph, alphabet: Alphabet) -> str:

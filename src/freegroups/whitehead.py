@@ -25,11 +25,12 @@ that one; the orbit closure applies only the multipliers that score
 zero, then every relabeling to what they reach.  Each applied move is
 checked against its predicted length.
 
-The scan, the orbit and the application of an automorphism work on
-letters as vertex codes 2 * gen + (1 for an inverse), the keys of
-Booth's algorithm and of the arcs of Stallings graphs.  Enumerating
-automorphisms is exponential in the rank, so every enumeration checks
-its count against WHITEHEAD_BUDGET first.
+The scan, the orbit, the application of an automorphism and the
+Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
+words store (see `freegroups.words`), so c ^ 1 inverts a letter and no
+step converts a word to Letter objects.  Enumerating automorphisms is
+exponential in the rank, so every enumeration checks its count against
+WHITEHEAD_BUDGET first.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -46,10 +47,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from operator import neg
 from typing import Iterable, Iterator, Sequence
 
-from .stallings import CertificateError, _arc_letters, _is_rose, build_subgroup
+from .stallings import CertificateError, _is_rose, build_subgroup
 from .words import (
     Alphabet,
     AlphabetMismatchError,
@@ -57,8 +57,12 @@ from .words import (
     Letter,
     TrivialWordError,
     Word,
+    _arc_letters,
+    _conjugator_length,
+    _inverse,
+    _join,
     _least_rotation_start,
-    free_reduce,
+    _reduce,
     letter_support,
 )
 
@@ -115,16 +119,10 @@ ACTION_NAMES = {
 _Images = tuple[tuple[int, ...], ...]
 
 
-def _vertex(l: Letter) -> int:
-    return 2 * l.gen + (l.sign < 0)
-
-
 # Hot paths build tuples from lists, not generators: tuple() sizes a
 # generator's result at 10 and resizes it, so freeing it feeds the
 # interpreter's free list for its final length while nothing drains
 # that list, and those lists keep up to 2,000 dead tuples per length.
-def _vertices(letters: Iterable[Letter]) -> tuple[int, ...]:
-    return tuple([2 * l.gen + (l.sign < 0) for l in letters])
 
 
 def _actions(rank: int, gen: int, code: int) -> list[int]:
@@ -147,7 +145,7 @@ def _multiplier_images(m: int, actions: Sequence[int]) -> _Images:
         x = 2 * g
         image = ((x,), (x, m), (n, x), (n, x, m))[act]
         images.append(image)
-        images.append(tuple([c ^ 1 for c in reversed(image)]))
+        images.append(_inverse(image))
     return tuple(images)
 
 
@@ -175,18 +173,10 @@ def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
     """The canonical cyclic word of the image of a code word: junction
     cancellation, cyclic reduction, then the least rotation."""
     out = _free_image(images, word)
-    i, j = 0, len(out)
-    while i < j - 1 and out[i] == out[j - 1] ^ 1:
-        i += 1
-        j -= 1
-    core = out[i:j]
+    i = _conjugator_length(out)
+    core = out[i : len(out) - i]
     k = _least_rotation_start(core)
     return tuple(core[k:] + core[:k])
-
-
-def _cyclic_word(alphabet: Alphabet, codes: Iterable[int]) -> CyclicWord:
-    letters = _arc_letters(alphabet.rank)
-    return CyclicWord(alphabet, tuple([letters[c] for c in codes]))
 
 
 @dataclass(frozen=True)
@@ -236,21 +226,17 @@ class WhiteheadAut(object):
     @cached_property
     def _code_images(self) -> _Images:
         if self.images is not None:
-            return _relabeling_images(_vertices(self.images))
+            return _relabeling_images([l.code for l in self.images])
         assert self.mult is not None and self.actions is not None
-        return _multiplier_images(_vertex(self.mult), self.actions)
+        return _multiplier_images(self.mult.code, self.actions)
 
     def apply_to_word(self, w: Word) -> Word:
         self._check_rank(w.alphabet)
-        letters = _arc_letters(self.rank)
-        image = _free_image(self._code_images, _vertices(w.letters))
-        return Word(w.alphabet, tuple([letters[c] for c in image]))
+        return Word._of(w.alphabet, _free_image(self._code_images, w.codes))
 
     def apply_to_cyclic(self, w: CyclicWord) -> CyclicWord:
         self._check_rank(w.alphabet)
-        return _cyclic_word(
-            w.alphabet, _cyclic_image(self._code_images, _vertices(w.letters))
-        )
+        return CyclicWord._of(w.alphabet, _cyclic_image(self._code_images, w.codes))
 
     def _check_rank(self, alphabet: Alphabet) -> None:
         if alphabet.rank != self.rank:
@@ -482,7 +468,7 @@ def minimize_tuple(
     descent: list[WhiteheadAut] = []
     length = total_length(current)
     while True:
-        words = [_vertices(w.letters) for w in current]
+        words = [w.codes for w in current]
         for m, code, change in _length_changes(words, alphabet.rank, -1):
             if change < 0:
                 break
@@ -534,7 +520,7 @@ def equal_length_orbit(
         orbit.update(image(r, member) for r in relabelings)
         queue.append(member)
 
-    add_class(tuple([_vertices(w.letters) for w in start]))
+    add_class(tuple([w.codes for w in start]))
     while queue:
         current = queue.popleft()
         for m, code, change in _length_changes(current, rank, 0):
@@ -542,7 +528,7 @@ def equal_length_orbit(
                 reached = image(_multiplier_images(m, _actions(rank, m >> 1, code)), current)
                 if reached not in orbit:
                     add_class(reached)
-    return {tuple([_cyclic_word(alphabet, w) for w in member]) for member in orbit}
+    return {tuple([CyclicWord._of(alphabet, w) for w in member]) for member in orbit}
 
 
 def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
@@ -641,19 +627,16 @@ class NielsenTransformation(object):
 
     def substitute(self, w: Word, inverse: bool = False) -> Word:
         """Apply as an automorphism (or its inverse) by letter substitution."""
-        out: list[Letter] = []
-        for l in w.letters:
-            if l.gen != self.target:
-                out.append(l)
+        out: list[int] = []
+        for c in w.codes:
+            if c >> 1 != self.target:
+                out.append(c)
             elif self.source is None:
-                out.append(l.inverse())
+                out.append(c ^ 1)
             else:
-                tail = Letter(self.source, -1 if inverse else 1)
-                if l.sign > 0:
-                    out.extend((l, tail))
-                else:
-                    out.extend((tail.inverse(), l))
-        return free_reduce(out, w.alphabet)
+                tail = 2 * self.source + inverse
+                out.extend((tail ^ 1, c) if c & 1 else (c, tail))
+        return Word._of(w.alphabet, _reduce(out))
 
     def describe(self, alphabet: Alphabet) -> str:
         if self.source is None:
@@ -662,7 +645,7 @@ class NielsenTransformation(object):
 
 
 def standard_basis(alphabet: Alphabet) -> tuple[Word, ...]:
-    return tuple(Word(alphabet, (Letter(g, 1),)) for g in range(alphabet.rank))
+    return tuple(Word._of(alphabet, (2 * g,)) for g in range(alphabet.rank))
 
 
 def apply_nielsen(
@@ -700,24 +683,8 @@ def _is_basis(target: Sequence[Word], alphabet: Alphabet) -> bool:
     return _is_rose(build_subgroup(list(target), alphabet))
 
 
-# A reduced word of the Nielsen search as integer codes: g + 1 for the
-# generator g and -(g + 1) for its inverse, so a letter's inverse is its
-# negation.
-_Code = tuple[int, ...]
-_State = tuple[_Code, ...]
-
-
-def _code(w: Word) -> _Code:
-    return tuple(l.gen + 1 if l.sign > 0 else -(l.gen + 1) for l in w.letters)
-
-
-def _join(u: _Code, v: _Code) -> _Code:
-    """The free reduction of u v for reduced u and v: letters cancel only
-    at the junction, so pop the cancelling pairs there and slice."""
-    k, n = 0, min(len(u), len(v))
-    while k < n and u[-1 - k] == -v[k]:
-        k += 1
-    return u[: len(u) - k] + v[k:]
+# A state of the Nielsen search: the tuple's words as vertex codes.
+_State = tuple[tuple[int, ...], ...]
 
 
 def _elementary_moves(rank: int) -> list[NielsenTransformation]:
@@ -738,15 +705,15 @@ def _bidirectional_search(
     target, by bidirectional breadth-first search.  None if the budget
     runs out (the caller falls back to greedy reduction).
 
-    States are tuples of reduced integer-coded words (see `_Code`).
-    Both factors of a right-multiplication are reduced, so its product
-    is a junction join.  Each expansion inverts the state's words once
-    and shares them among its moves: an inversion move takes the
-    inverse, and the backward side, which walks moves in reverse,
-    multiplies by it.  The codes are a bijection with the words, so the
-    search visits the states of a letter-keyed search in the same order.
+    States are tuples of the words' vertex codes.  Both factors of a
+    right-multiplication are reduced, so its product is a junction
+    join.  Each expansion inverts the state's words once and shares them
+    among its moves: an inversion move takes the inverse, and the
+    backward side, which walks moves in reverse, multiplies by it.  The
+    codes are a bijection with the words, so the search visits the
+    states of a letter-keyed search in the same order.
     """
-    std: _State = tuple((g + 1,) for g in range(rank))
+    std: _State = tuple((2 * g,) for g in range(rank))
     if target == std:
         return []
     moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
@@ -786,7 +753,7 @@ def _bidirectional_search(
         fresh: list[_State] = []
         meets: list[_State] = []
         for state in frontier:
-            inverses = tuple(tuple(map(neg, reversed(w))) for w in state)
+            inverses = tuple([_inverse(w) for w in state])
             tails = state if forward else inverses
             for move, i, j in moves:
                 word = inverses[i] if j is None else _join(state[i], tails[j])
@@ -852,10 +819,10 @@ def _greedy_moves(words: tuple[Word, ...]) -> list[NielsenTransformation]:
     # Signed permutation cleanup: selection sort with explicit moves.
     swap_template = lambda i, j: [rmul(i, j), inv(i), rmul(j, i), inv(j), rmul(i, j), inv(i)]
     for pos in range(rank):
-        where = next(i for i in range(pos, rank) if words[i].letters[0].gen == pos)
+        where = next(i for i in range(pos, rank) if words[i].codes[0] >> 1 == pos)
         if where != pos:
             words = do(swap_template(pos, where), words)
-        if words[pos].letters[0].sign < 0:
+        if words[pos].codes[0] & 1:
             words = do([inv(pos)], words)
     return applied
 
@@ -918,7 +885,7 @@ def _decompose_basis(
     """nielsen_decompose for words already certified to form a basis of
     the alphabet's rank, such as the combined basis of a verified
     splitting: no fold re-checks them, but the replay check still runs."""
-    moves = _bidirectional_search(tuple(map(_code, words)), alphabet.rank, node_budget)
+    moves = _bidirectional_search(tuple([w.codes for w in words]), alphabet.rank, node_budget)
     if moves is None:
         moves = _invert_move_list(_greedy_moves(words))
     if apply_nielsen(moves, alphabet) != words:

@@ -5,6 +5,15 @@ generator and uppercase for its inverse, so "abA" reads a b a^-1.  The
 empty word prints as "1".  Cyclic words model conjugacy classes; they
 are stored cyclically reduced and rotated to a canonical representative.
 
+Encoding: Word and CyclicWord store their letters as vertex codes
+2 * gen + (1 for an inverse), so c ^ 1 is the inverse of c and the codes
+order letters as Letter.key does.  Every module works on these codes:
+the Whitehead graph and the Nielsen search, the arcs of Stallings
+graphs and Booth's least rotation.  This module alone converts them to
+and from Letter objects, which the public API keeps: the constructors
+take Letters, `letters` gives them back, and `_arc_letters` maps a code
+to its Letter.
+
 All values are immutable and all operations are pure functions, so
 everything in this module can be shared freely between threads.
 """
@@ -13,7 +22,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -42,6 +51,11 @@ class Letter(NamedTuple):
     def key(self) -> tuple[int, int]:
         """Sort key; generators come before their inverses."""
         return (self.gen, 0 if self.sign > 0 else 1)
+
+    @property
+    def code(self) -> int:
+        """The vertex code 2 * gen + (1 for an inverse) that words store."""
+        return 2 * self.gen + (self.sign < 0)
 
 
 @dataclass(frozen=True)
@@ -87,57 +101,84 @@ class Alphabet:
         except ValueError:
             raise WordFormatError("unknown generator %r" % symbol) from None
 
-    def _is_charmap(self) -> bool:
-        return _letter_table(self) is not None
+
+@lru_cache(maxsize=None)
+def _arc_letters(rank: int) -> tuple[Letter, ...]:
+    """The Letter of each vertex code, indexed by the code."""
+    return tuple(Letter(k >> 1, -1 if k & 1 else 1) for k in range(2 * rank))
 
 
-@lru_cache(maxsize=64)
-def _letter_table(alphabet: Alphabet) -> dict[str, Letter] | None:
-    """The text format's character -> letter table: each generator's name
-    and its uppercase inverse.  None when the alphabet cannot use the
-    case-based format, which needs single lowercase ASCII names."""
-    symbols = alphabet.symbols
-    if not all(len(s) == 1 and s in string.ascii_lowercase for s in symbols):
-        return None
-    table = {s: Letter(gen, 1) for gen, s in enumerate(symbols)}
-    table.update((s.upper(), Letter(gen, -1)) for gen, s in enumerate(symbols))
-    return table
-
-
-def _check_letters(letters: Iterable[Letter], rank: int) -> tuple[Letter, ...]:
-    out = tuple(letters)
-    for l in out:
+def _encode(letters: Iterable[Letter], rank: int) -> tuple[int, ...]:
+    """The vertex codes of Letters, each checked against the rank."""
+    out = []
+    for l in letters:
         if not 0 <= l.gen < rank or l.sign not in (1, -1):
             raise ValueError("letter %r outside alphabet of rank %d" % (l, rank))
-    return out
+        out.append(l.code)
+    return tuple(out)
 
 
-def _reduce_letters(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    stack: list[Letter] = []
-    for l in letters:
-        if stack and stack[-1].gen == l.gen and stack[-1].sign == -l.sign:
-            stack.pop()
-        else:
-            stack.append(l)
-    return tuple(stack)
+def _check(codes: tuple[int, ...], rank: int, cyclic: bool) -> None:
+    """Raise ValueError unless every code is a letter of the rank and no
+    two adjacent letters cancel, counting the last and the first as
+    adjacent when `cyclic`.  One pass does both."""
+    n = 2 * rank
+    prev = codes[-1] if cyclic and codes else -1
+    for c in codes:
+        if not 0 <= c < n:
+            raise ValueError("letter code %r outside alphabet of rank %d" % (c, rank))
+        if c == prev ^ 1:
+            letters = _arc_letters(rank)
+            raise ValueError(
+                "word is not %s reduced at %r %r"
+                % ("cyclically" if cyclic else "freely", letters[prev], letters[c])
+            )
+        prev = c
 
 
-@dataclass(frozen=True)
-class Word(object):
+@dataclass(frozen=True, init=False)
+class _CodedWord(object):
+    """What Word and CyclicWord share: the alphabet and the vertex codes."""
+
+    alphabet: Alphabet
+    codes: tuple[int, ...]
+
+    def __init__(self, alphabet: Alphabet, letters: Iterable[Letter] = ()) -> None:
+        self._set(alphabet, _encode(letters, alphabet.rank))
+
+    @classmethod
+    def _of(cls, alphabet: Alphabet, codes: Sequence[int]):
+        """Build from vertex codes, checked as the constructor checks Letters."""
+        word = object.__new__(cls)
+        word._set(alphabet, tuple(codes))
+        return word
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __str__(self) -> str:
+        return _format(self.codes, self.alphabet)
+
+    @cached_property
+    def letters(self) -> tuple[Letter, ...]:
+        """The letters as Letter objects, built on first use."""
+        letters = _arc_letters(self.alphabet.rank)
+        return tuple([letters[c] for c in self.codes])
+
+    @property
+    def is_trivial(self) -> bool:
+        return not self.codes
+
+
+@dataclass(frozen=True, init=False)
+class Word(_CodedWord):
     """A freely reduced word.  Construction rejects unreduced input;
     use free_reduce to build a Word from an arbitrary letter sequence."""
 
-    alphabet: Alphabet
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", _check_letters(self.letters, self.alphabet.rank))
-        for a, b in zip(self.letters, self.letters[1:]):
-            if a.gen == b.gen and a.sign == -b.sign:
-                raise ValueError("word is not freely reduced at %r %r" % (a, b))
-
-    def __len__(self) -> int:
-        return len(self.letters)
+    def _set(self, alphabet: Alphabet, codes: tuple[int, ...]) -> None:
+        _check(codes, alphabet.rank, cyclic=False)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes)
 
     def __iter__(self) -> Iterator[Letter]:
         return iter(self.letters)
@@ -148,16 +189,9 @@ class Word(object):
     def __invert__(self) -> "Word":
         return invert(self)
 
-    def __str__(self) -> str:
-        return format_letters(self.letters, self.alphabet)
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.letters
-
-
-@dataclass(frozen=True)
-class CyclicWord(object):
+@dataclass(frozen=True, init=False)
+class CyclicWord(_CodedWord):
     """A cyclically reduced conjugacy-class representative.
 
     The constructor rejects input that is not cyclically reduced and
@@ -165,46 +199,24 @@ class CyclicWord(object):
     structurally equal values represent equal conjugacy classes.
     """
 
-    alphabet: Alphabet
-    letters: tuple[Letter, ...] = ()
-
-    def __post_init__(self) -> None:
-        letters = _check_letters(self.letters, self.alphabet.rank)
-        for i in range(len(letters)):
-            a, b = letters[i - 1], letters[i]
-            if a.gen == b.gen and a.sign == -b.sign:
-                raise ValueError("word is not cyclically reduced at %r %r" % (a, b))
-        object.__setattr__(self, "letters", _least_rotation(letters))
+    def _set(self, alphabet: Alphabet, codes: tuple[int, ...]) -> None:
+        _check(codes, alphabet.rank, cyclic=True)
+        k = _least_rotation_start(codes)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "codes", codes[k:] + codes[:k])
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
         return cyclic_reduce(w)[0]
 
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        return format_letters(self.letters, self.alphabet)
-
     def as_word(self) -> Word:
         """The stored rotation as a linear word."""
-        return Word(self.alphabet, self.letters)
+        return Word._of(self.alphabet, self.codes)
 
     def rotations(self) -> Iterator[tuple[Letter, ...]]:
-        n = len(self.letters)
-        for r in range(max(n, 1)):
-            yield self.letters[r:] + self.letters[:r]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.letters
-
-
-def _least_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    """The lexicographically least rotation, found on the integer keys
-    2 * gen + (1 for an inverse), which order letters as Letter.key does."""
-    k = _least_rotation_start([2 * l.gen + (l.sign < 0) for l in letters])
-    return letters[k:] + letters[:k]
+        letters = self.letters
+        for r in range(max(len(letters), 1)):
+            yield letters[r:] + letters[:r]
 
 
 def _least_rotation_start(keys: Sequence[int]) -> int:
@@ -232,30 +244,54 @@ def _least_rotation_start(keys: Sequence[int]) -> int:
     return k
 
 
+def _reduce(codes: Iterable[int]) -> tuple[int, ...]:
+    stack: list[int] = []
+    for c in codes:
+        if stack and stack[-1] == c ^ 1:
+            stack.pop()
+        else:
+            stack.append(c)
+    return tuple(stack)
+
+
+def _join(u: Sequence[int], v: Sequence[int]) -> tuple[int, ...]:
+    """The free reduction of u v for reduced code tuples u and v: letters
+    cancel only at the junction, so count the cancelling pairs there and
+    slice."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k] ^ 1:
+        k += 1
+    return u[: len(u) - k] + v[k:]
+
+
+def _inverse(codes: Sequence[int]) -> tuple[int, ...]:
+    return tuple([c ^ 1 for c in reversed(codes)])
+
+
 def free_reduce(letters: Iterable[Letter], alphabet: Alphabet) -> Word:
     """Cancel adjacent inverse pairs until none remain.
 
     The result does not depend on cancellation order, so a single
     left-to-right stack pass suffices.
     """
-    return Word(alphabet, _reduce_letters(_check_letters(letters, alphabet.rank)))
+    return Word._of(alphabet, _reduce(_encode(letters, alphabet.rank)))
 
 
 def concat(u: Word, v: Word) -> Word:
     if u.alphabet != v.alphabet:
         raise AlphabetMismatchError("cannot concatenate words over different alphabets")
-    return Word(u.alphabet, _reduce_letters(u.letters + v.letters))
+    return Word._of(u.alphabet, _join(u.codes, v.codes))
 
 
 def invert(u: Word) -> Word:
-    return Word(u.alphabet, tuple(l.inverse() for l in reversed(u.letters)))
+    return Word._of(u.alphabet, _inverse(u.codes))
 
 
-def _conjugator_length(letters: tuple[Letter, ...]) -> int:
-    """The length of the shortest x with letters = x c x^-1 and c
-    cyclically reduced, for freely reduced letters."""
-    i, j = 0, len(letters)
-    while i < j - 1 and letters[i] == letters[j - 1].inverse():
+def _conjugator_length(codes: Sequence[int]) -> int:
+    """The length of the shortest x with codes = x c x^-1 and c
+    cyclically reduced, for freely reduced codes."""
+    i, j = 0, len(codes)
+    while i < j - 1 and codes[i] == codes[j - 1] ^ 1:
         i += 1
         j -= 1
     return i
@@ -266,14 +302,14 @@ def cyclic_reduce(w: Word) -> tuple[CyclicWord, Word]:
 
     Returns (cyclic word of c, conjugator x).
     """
-    letters = w.letters
-    i = _conjugator_length(letters)
-    return CyclicWord(w.alphabet, letters[i : len(letters) - i]), Word(w.alphabet, letters[:i])
+    codes = w.codes
+    i = _conjugator_length(codes)
+    return CyclicWord._of(w.alphabet, codes[i : len(codes) - i]), Word._of(w.alphabet, codes[:i])
 
 
 def letter_support(w: "Word | CyclicWord") -> frozenset[int]:
     """The set of generator indices occurring in w (in either sign)."""
-    return frozenset(l.gen for l in w.letters)
+    return frozenset([c >> 1 for c in w.codes])
 
 
 def signed_support(w: "Word | CyclicWord") -> frozenset[Letter]:
@@ -290,7 +326,7 @@ def parse_word(text: str, alphabet: Alphabet) -> Word:
     >>> str(parse_word("abB", a2))
     'a'
     """
-    return free_reduce(_parse_letters(text, alphabet), alphabet)
+    return Word._of(alphabet, _reduce(_parse_codes(text, alphabet)))
 
 
 def parse_cyclic(text: str, alphabet: Alphabet) -> CyclicWord:
@@ -298,8 +334,21 @@ def parse_cyclic(text: str, alphabet: Alphabet) -> CyclicWord:
     return CyclicWord.from_word(parse_word(text, alphabet))
 
 
-def _parse_letters(text: str, alphabet: Alphabet) -> list[Letter]:
-    table = _letter_table(alphabet)
+@lru_cache(maxsize=64)
+def _spelling(alphabet: Alphabet) -> tuple[tuple[str, ...], dict[str, int] | None]:
+    """The text of each code, and the text format's character -> code
+    table.  The case format spells a generator by its name and the
+    inverse in uppercase; it needs single lowercase ASCII names, and
+    other alphabets spell "x" and "x^-1" and have no table."""
+    symbols = alphabet.symbols
+    if all(len(s) == 1 and s in string.ascii_lowercase for s in symbols):
+        texts = tuple(t for s in symbols for t in (s, s.upper()))
+        return texts, {t: c for c, t in enumerate(texts)}
+    return tuple(t for s in symbols for t in (s, s + "^-1")), None
+
+
+def _parse_codes(text: str, alphabet: Alphabet) -> list[int]:
+    table = _spelling(alphabet)[1]
     if table is None:
         raise WordFormatError("text format needs single-letter generator names")
     if text == "1":
@@ -314,20 +363,16 @@ def _parse_letters(text: str, alphabet: Alphabet) -> list[Letter]:
         low = ch.lower()
         if not ch.isalpha() or low not in alphabet.symbols:
             raise WordFormatError("unexpected character %r in %r" % (ch, text))
-        out.append(Letter(alphabet.index(low), 1 if ch.islower() else -1))
+        out.append(2 * alphabet.index(low) + (0 if ch.islower() else 1))
     return out
 
 
-def format_letters(letters: tuple[Letter, ...], alphabet: Alphabet) -> str:
-    if not letters:
+def _format(codes: Sequence[int], alphabet: Alphabet) -> str:
+    if not codes:
         return "1"
-    if alphabet._is_charmap():
-        return "".join(
-            alphabet.symbols[l.gen] if l.sign > 0 else alphabet.symbols[l.gen].upper()
-            for l in letters
-        )
-    # Fallback spelling for alphabets that cannot use the case format.
-    return " ".join(
-        alphabet.symbols[l.gen] if l.sign > 0 else alphabet.symbols[l.gen] + "^-1"
-        for l in letters
-    )
+    texts, table = _spelling(alphabet)
+    return ("" if table is not None else " ").join([texts[c] for c in codes])
+
+
+def format_letters(letters: tuple[Letter, ...], alphabet: Alphabet) -> str:
+    return _format(_encode(letters, alphabet.rank), alphabet)

@@ -1,7 +1,7 @@
 """Reference implementations of the Stallings kernel, the conjugacy
-search, the least rotation, the application of a Whitehead automorphism
-and the Nielsen search, kept as test oracles for the fast paths that
-replaced them.
+search, the least rotation, the application of a Whitehead automorphism,
+the Nielsen search and the Letter-keyed words, kept as test oracles for
+the fast paths that replaced them.
 
 Each function is the straightforward version: fold restarts its scan
 after every merge, the peels recount every degree each round, intersect
@@ -11,14 +11,18 @@ compares all n rotations; a Whitehead automorphism rewrites `Letter`s
 one by one, then reduces, cyclically reduces and rotates in full; the
 Nielsen search keys its states by
 (gen, sign) pairs and reduces every product in full; the parser reads
-every character by its case.  They are slow on
-purpose and use only the library's graph type, `components`,
-`path_word` and the Nielsen move list;
-`tests/test_kernel_differential.py` asserts that the library returns
-exactly what they return.
+every character by its case.  Words are tuples of `Letter`s, checked,
+reduced and rotated letter by letter, as `Word` and `CyclicWord` were
+before they stored vertex codes; the Nielsen search's words are signed
+codes g + 1 and -(g + 1).  They are slow on purpose and use only the
+library's graph type, `components`, `path_word` and the Nielsen move
+list; `tests/test_kernel_differential.py` asserts that the library
+returns exactly what they return.
 """
 
 from __future__ import annotations
+
+import string
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
 from freegroups.whitehead import _elementary_moves
@@ -212,8 +216,12 @@ def conjugator_into(h, w):
     return None
 
 
+def _is_charmap(alphabet):
+    return all(len(s) == 1 and s in string.ascii_lowercase for s in alphabet.symbols)
+
+
 def parse_letters(text, alphabet):
-    if not alphabet._is_charmap():
+    if not _is_charmap(alphabet):
         raise WordFormatError("text format needs single-letter generator names")
     if text == "1":
         return []
@@ -308,3 +316,69 @@ def bidirectional_search(target_key, rank, node_budget):
         else:
             frontier_b = fresh
     return None
+
+
+def check_letters(letters, rank):
+    out = tuple(letters)
+    for l in out:
+        if not 0 <= l.gen < rank or l.sign not in (1, -1):
+            raise ValueError("letter %r outside alphabet of rank %d" % (l, rank))
+    return out
+
+
+def word_letters(letters, rank):
+    """What Word(alphabet, letters) stores: the checked letters, which
+    must be freely reduced."""
+    out = check_letters(letters, rank)
+    for a, b in zip(out, out[1:]):
+        if a == b.inverse():
+            raise ValueError("word is not freely reduced at %r %r" % (a, b))
+    return out
+
+
+def cyclic_letters(letters, rank):
+    """What CyclicWord(alphabet, letters) stores: the least rotation of
+    the checked letters, which must be cyclically reduced."""
+    out = check_letters(letters, rank)
+    for i in range(len(out)):
+        if out[i - 1] == out[i].inverse():
+            raise ValueError("word is not cyclically reduced at %r %r" % (out[i - 1], out[i]))
+    return least_rotation(out)
+
+
+def cyclic_reduce(letters):
+    """(least rotation of the cyclically reduced core, conjugator) of
+    freely reduced letters."""
+    i, j = 0, len(letters)
+    while i < j - 1 and letters[i] == letters[j - 1].inverse():
+        i, j = i + 1, j - 1
+    return least_rotation(tuple(letters[i:j])), tuple(letters[:i])
+
+
+def format_letters(letters, alphabet):
+    if not letters:
+        return "1"
+    if _is_charmap(alphabet):
+        return "".join(
+            alphabet.symbols[l.gen] if l.sign > 0 else alphabet.symbols[l.gen].upper()
+            for l in letters
+        )
+    return " ".join(
+        alphabet.symbols[l.gen] if l.sign > 0 else alphabet.symbols[l.gen] + "^-1"
+        for l in letters
+    )
+
+
+def signed_code(letters):
+    """The Nielsen search's old word encoding: g + 1 for the generator g
+    and -(g + 1) for its inverse."""
+    return tuple(l.gen + 1 if l.sign > 0 else -(l.gen + 1) for l in letters)
+
+
+def signed_join(u, v):
+    """The free reduction of u v for reduced signed-code words, cancelling
+    at the junction."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[: len(u) - k] + v[k:]

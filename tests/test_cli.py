@@ -1,5 +1,8 @@
+import threading
+
 import pytest
 
+from freegroups import cli
 from freegroups.cli import main, run
 
 GRAPH_BAB = "v 2\nbase 0\ne 0 1 b\ne 1 1 a\n"
@@ -131,6 +134,11 @@ class TestIso:
         assert run(["iso", "-n", "2"], "")[0] == 2
         assert run(["iso", "-n", "2"], GRAPH_BAB + "\nnot a graph\n")[0] == 2
 
+    def test_negative_vertex_count(self):
+        code, out, err = run(["iso", "-n", "2"], "v -1\n\nv -1\n")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "negative" in err
+
 
 class TestWhiteheadCommands:
     def test_wmin(self):
@@ -217,3 +225,39 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+
+class TestConcurrentRuns:
+    def test_overlapping_calls_keep_their_own_output(self, monkeypatch):
+        # Call a stops inside its command until call b is inside its own,
+        # then finishes while b waits.  Output captured by swapping the
+        # process-wide sys.stdout would land in the other call's buffer.
+        real = cli.parse_word
+        a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+
+        def paced(text, alphabet):
+            if text == "ab":
+                a_inside.set()
+                assert b_inside.wait(10)
+            else:
+                b_inside.set()
+                assert a_done.wait(10)
+            return real(text, alphabet)
+
+        monkeypatch.setattr(cli, "parse_word", paced)
+        results = {}
+
+        def call(key, word):
+            results[key] = run(["reduce", "-n", "2", word])
+            if key == "a":
+                a_done.set()
+
+        a = threading.Thread(target=call, args=("a", "ab"))
+        b = threading.Thread(target=call, args=("b", "bA"))
+        a.start()
+        assert a_inside.wait(10)
+        b.start()
+        a.join(10)
+        b.join(10)
+        assert not a.is_alive() and not b.is_alive()
+        assert results == {"a": (0, "ab\n", ""), "b": (0, "bA\n", "")}

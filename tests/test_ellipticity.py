@@ -20,6 +20,7 @@ from freegroups.ellipticity import (
     word_elliptic,
     words_distance_two,
 )
+from freegroups import whitehead
 from freegroups.stallings import (
     build_subgroup,
     conjugator_into,
@@ -440,6 +441,22 @@ class TestNielsenBound:
         # basis (ab, b) needs a -> ab^-1, and undoing a right
         # multiplication costs three elementary moves (inv rmul inv)
         assert nielsen_bound(split("ab | b"), split("a | b")) == 6
+
+    def test_no_second_fold(self, monkeypatch):
+        # Both certificates already prove that s2's combined basis,
+        # carried over s1, is a basis, so the bound folds it no more.
+        pairs = [
+            (split("ab | b"), split("a | b")),
+            (split("a | b"), split("ab | b")),
+            (split("a b | c", A3), split("ac b | Cb", A3)),
+        ]
+        expected = [nielsen_bound(s1, s2) for s1, s2 in pairs]
+
+        def refold(target, alphabet):
+            raise AssertionError("nielsen_bound folded a certified basis again")
+
+        monkeypatch.setattr(whitehead, "_is_basis", refold)
+        assert [nielsen_bound(s1, s2) for s1, s2 in pairs] == expected
 
     def test_rank_one_rejected(self):
         # Two proper factors need rank two, so no rank-one splitting is

@@ -1,7 +1,7 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
 rotation, the code kernel that applies Whitehead automorphisms, the
-Nielsen search and the parser returns exactly what the code it replaced
-returns (the oracles in `kernel_oracles.py`)."""
+Nielsen search, the parser and the code-backed words returns exactly
+what the code it replaced returns (the oracles in `kernel_oracles.py`)."""
 
 import kernel_oracles as oracle
 from hypothesis import given, settings, strategies as st
@@ -20,11 +20,8 @@ from freegroups.stallings import (
 )
 from freegroups.whitehead import (
     _bidirectional_search,
-    _code,
     _elementary_moves,
     _cyclic_image,
-    _join,
-    _vertices,
     Action,
     WhiteheadAut,
     apply_nielsen,
@@ -37,10 +34,18 @@ from freegroups.words import (
     Letter,
     Word,
     WordFormatError,
-    _least_rotation,
-    _parse_letters,
+    _arc_letters,
+    _join,
+    _least_rotation_start,
+    _parse_codes,
+    concat,
+    cyclic_reduce,
+    format_letters,
     free_reduce,
+    invert,
+    letter_support,
     parse_word,
+    signed_support,
 )
 
 FAMILIES = ("random", "powers", "conjugator", "prefix", "periodic", "tiny")
@@ -187,11 +192,17 @@ class TestConjugacySearch:
         assert contains_conjugate(h, w) == (expected is not None)
 
 
+def least_rotation(seq):
+    """Booth's algorithm on the letters' codes, read back as letters."""
+    k = _least_rotation_start([l.code for l in seq])
+    return seq[k:] + seq[:k]
+
+
 class TestLeastRotation:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda r: st.lists(letters(r), max_size=30)))
     def test_arbitrary_sequences(self, seq):
-        assert _least_rotation(tuple(seq)) == oracle.least_rotation(tuple(seq))
+        assert least_rotation(tuple(seq)) == oracle.least_rotation(tuple(seq))
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -202,7 +213,7 @@ class TestLeastRotation:
     def test_periodic_sequences(self, unit, k, shift):
         seq = tuple(unit * k)
         seq = seq[shift % len(seq):] + seq[: shift % len(seq)]
-        assert _least_rotation(seq) == oracle.least_rotation(seq)
+        assert least_rotation(seq) == oracle.least_rotation(seq)
 
 
 def check_kernel(t, w):
@@ -211,7 +222,7 @@ def check_kernel(t, w):
     assert t.apply_to_word(w).letters == oracle.whitehead_word(t, w)
     c = CyclicWord.from_word(w)
     expected = oracle.whitehead_cyclic(t, c)
-    assert _cyclic_image(t._code_images, _vertices(c.letters)) == _vertices(expected)
+    assert _cyclic_image(t._code_images, c.codes) == tuple(l.code for l in expected)
     assert t.apply_to_cyclic(c).letters == expected
 
 
@@ -300,14 +311,14 @@ class TestNielsenSearch:
     def test_matches_pair_keyed_search(self, case):
         rank, words = case
         expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
-        assert _bidirectional_search(tuple(map(_code, words)), rank, self.BUDGET) == expected
+        assert _bidirectional_search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(nielsen_targets(), st.integers(0, 300))
     def test_small_budgets_run_out_together(self, case, budget):
         rank, words = case
         expected = oracle.bidirectional_search(pair_key(words), rank, budget)
-        found = _bidirectional_search(tuple(map(_code, words)), rank, budget)
+        found = _bidirectional_search(tuple(w.codes for w in words), rank, budget)
         assert (found is None) == (expected is None)
         assert found == expected
 
@@ -322,7 +333,9 @@ class TestNielsenSearch:
             # Cancel a suffix of u, or all of it, and maybe more.
             cut = data.draw(st.integers(0, len(u)))
             v = ~Word(alphabet, u.letters[cut:]) * v
-        assert _join(_code(u), _code(v)) == _code(u * v)
+        joined = Word._of(alphabet, _join(u.codes, v.codes)).letters
+        expected = oracle.signed_join(oracle.signed_code(u.letters), oracle.signed_code(v.letters))
+        assert oracle.signed_code(joined) == expected
 
 
 def parsed(text, alphabet, parse):
@@ -330,6 +343,11 @@ def parsed(text, alphabet, parse):
         return parse(text, alphabet)
     except WordFormatError as e:
         return str(e)
+
+
+def parse_letters(text, alphabet):
+    letters = _arc_letters(alphabet.rank)
+    return [letters[c] for c in _parse_codes(text, alphabet)]
 
 
 class TestParse:
@@ -342,16 +360,88 @@ class TestParse:
     @given(st.sampled_from((1, 2, 4, 11)), st.text(CHARS, max_size=8) | st.just("1"))
     def test_matches_per_character_parse(self, rank, text):
         alphabet = Alphabet.of_rank(rank)
-        assert parsed(text, alphabet, _parse_letters) == parsed(
+        assert parsed(text, alphabet, parse_letters) == parsed(
             text, alphabet, oracle.parse_letters
         )
 
     def test_kelvin_sign_is_an_inverse(self):
-        assert _parse_letters("a\u212a", Alphabet.of_rank(11)) == [Letter(0, 1), Letter(10, -1)]
+        assert parse_letters("a\u212a", Alphabet.of_rank(11)) == [Letter(0, 1), Letter(10, -1)]
 
     def test_named_alphabet_rejected(self):
         alphabet = Alphabet(("x0", "x1"))
-        assert parsed("a", alphabet, _parse_letters) == parsed("a", alphabet, oracle.parse_letters)
+        assert parsed("a", alphabet, parse_letters) == parsed("a", alphabet, oracle.parse_letters)
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def raw_sequences(draw):
+    """A rank and a letter sequence over it, unreduced, sometimes with one
+    letter outside the alphabet: a generator past the rank, a negative
+    one, or a sign other than +1 and -1."""
+    rank = draw(st.sampled_from((1, 2, 3)))
+    seq = draw(st.lists(letters(rank), max_size=12))
+    if draw(st.integers(0, 4)) == 0:
+        bad = Letter(draw(st.sampled_from((-1, rank))), 1)
+        bad = draw(st.sampled_from((bad, Letter(0, 0), Letter(0, 2))))
+        seq.insert(draw(st.integers(0, len(seq))), bad)
+    return Alphabet.of_rank(rank), seq
+
+
+class TestCodedWords:
+    """Word and CyclicWord store vertex codes; the Letter-keyed oracles
+    see the same letters, the same text and the same errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_sequences())
+    def test_free_reduce(self, case):
+        alphabet, seq = case
+        assert outcome(lambda: free_reduce(seq, alphabet).letters) == outcome(
+            lambda: tuple(oracle.reduce_letters(oracle.check_letters(seq, alphabet.rank)))
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_sequences())
+    def test_constructors(self, case):
+        alphabet, seq = case
+        rank = alphabet.rank
+        assert outcome(lambda: Word(alphabet, seq).letters) == outcome(
+            oracle.word_letters, seq, rank
+        )
+        assert outcome(lambda: CyclicWord(alphabet, seq).letters) == outcome(
+            oracle.cyclic_letters, seq, rank
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_concat_invert_cyclic_reduce(self, data):
+        alphabet = Alphabet.of_rank(data.draw(st.sampled_from((1, 2, 3))))
+        word = st.lists(letters(alphabet.rank), max_size=10)
+        u = free_reduce(data.draw(word), alphabet)
+        v = free_reduce(data.draw(word), alphabet)
+        assert concat(u, v).letters == tuple(oracle.reduce_letters(u.letters + v.letters))
+        assert invert(u).letters == tuple(l.inverse() for l in reversed(u.letters))
+        c, x = cyclic_reduce(u)
+        assert (c.letters, x.letters) == oracle.cyclic_reduce(u.letters)
+        assert CyclicWord.from_word(u) == c
+        assert letter_support(u) == {l.gen for l in u.letters}
+        assert signed_support(c) == set(c.letters)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from((1, 2, 3)).flatmap(lambda r: st.lists(letters(r), max_size=10)))
+    def test_format(self, seq):
+        for alphabet in (Alphabet.of_rank(3), Alphabet(("x0", "x1", "x2"))):
+            w = free_reduce(seq, alphabet)
+            expected = oracle.format_letters(w.letters, alphabet)
+            assert str(w) == format_letters(w.letters, alphabet) == expected
+            c = CyclicWord.from_word(w)
+            assert str(c) == oracle.format_letters(c.letters, alphabet)
 
 
 def test_cli_usage_error_between_valid_calls():

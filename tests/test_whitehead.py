@@ -33,7 +33,6 @@ from freegroups.whitehead import (
     _length_changes,
     _multiplier,
     _multiplier_cuts,
-    _vertices,
     _whitehead_graph,
 )
 from freegroups.words import (
@@ -358,7 +357,7 @@ class TestWhiteheadGraph:
 
 
 def codes_of(ws):
-    return [_vertices(w.letters) for w in ws]
+    return [w.codes for w in ws]
 
 
 def assert_pruned_scan(ws, bound):

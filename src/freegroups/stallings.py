@@ -8,6 +8,11 @@ main operations: building the graph from generators (wedge + fold +
 core), membership, intersection via the labeled product, conjugacy via
 type graphs, and extraction of a free basis from a spanning tree.
 
+Each graph keeps one adjacency table, `XDigraph._arcs`: per vertex, its
+arcs (letter code, head, edge index), built from the edges once.
+Degrees, the folding test, the step index, reachability, cycle search
+and breadth-first trees all read it.
+
 Graphs are immutable after construction; all functions are pure.
 """
 
@@ -74,35 +79,41 @@ class XDigraph(object):
             raise ValueError("base vertex %r out of range" % (self.base,))
 
     @cached_property
+    def _arcs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        # Per vertex, its arcs (letter code, head, edge index) in sorted
+        # order: an edge labelled l reads code 2l forwards, 2l + 1 back.
+        flat = []
+        for eid, (o, t, l) in enumerate(self.edges):
+            flat.append((o, 2 * l, t, eid))
+            flat.append((t, 2 * l + 1, o, eid))
+        flat.sort()
+        lists: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        for v, k, head, eid in flat:
+            lists[v].append((k, head, eid))
+        return tuple(map(tuple, lists))
+
+    @cached_property
     def degrees(self) -> tuple[int, ...]:
-        # Degree in the symmetrized graph: loops count twice.
-        deg = [0] * self.vertex_count
-        for o, t, _ in self.edges:
-            deg[o] += 1
-            deg[t] += 1
-        return tuple(deg)
+        # Degree in the symmetrized graph: a loop has two arcs.
+        return tuple(map(len, self._arcs))
+
+    @cached_property
+    def _step_index(self) -> dict[tuple[int, int], int]:
+        # (vertex, letter code) -> head; two arcs sharing a key leave one entry.
+        return {(v, c): head for v, arcs in enumerate(self._arcs) for c, head, _ in arcs}
 
     @cached_property
     def is_folded(self) -> bool:
-        seen_out: set[tuple[int, int]] = set()
-        seen_in: set[tuple[int, int]] = set()
-        for o, t, l in self.edges:
-            if (o, l) in seen_out or (t, l) in seen_in:
-                return False
-            seen_out.add((o, l))
-            seen_in.add((t, l))
-        return True
+        """No two edges share a label and an origin, or a label and a
+        terminus: every arc has its own (vertex, code) key."""
+        return len(self._step_index) == 2 * len(self.edges)
 
     @cached_property
     def _steps(self) -> dict[tuple[int, int], int]:
         # (vertex, letter code) -> next vertex; folded graphs only.
         if not self.is_folded:
             raise NotFoldedError("graph is not folded")
-        table: dict[tuple[int, int], int] = {}
-        for o, t, l in self.edges:
-            table[(o, 2 * l)] = t
-            table[(t, 2 * l + 1)] = o
-        return table
+        return self._step_index
 
     def step(self, v: int, letter: Letter) -> int | None:
         """Follow one letter from v (inverse letters walk edges backwards)."""
@@ -117,20 +128,6 @@ class XDigraph(object):
                 return None
         return v
 
-    @cached_property
-    def _arcs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        # Per vertex, its arcs (letter code, head, edge index) in sorted
-        # order: an edge labelled l reads code 2l forwards, 2l + 1 back.
-        flat = []
-        for eid, (o, t, l) in enumerate(self.edges):
-            flat.append((o, 2 * l, t, eid))
-            flat.append((t, 2 * l + 1, o, eid))
-        flat.sort()
-        lists: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
-        for v, k, head, eid in flat:
-            lists[v].append((k, head, eid))
-        return tuple(map(tuple, lists))
-
     def arcs_from(self, v: int) -> tuple[tuple[Letter, int, int], ...]:
         """All arcs leaving v in the symmetrized graph, sorted by letter.
 
@@ -140,25 +137,18 @@ class XDigraph(object):
         letters = _arc_letters(self.rank)
         return tuple([(letters[k], head, eid) for k, head, eid in self._arcs[v]])
 
-    def components(self) -> list[list[int]]:
-        seen = [False] * self.vertex_count
+    def _reach(self, start: int, alive: Sequence[bool] | None = None) -> set[int]:
+        """The vertices a walk from start reaches, passing only through
+        vertices flagged in `alive` when it is given."""
         arcs = self._arcs
-        comps = []
-        for start in range(self.vertex_count):
-            if seen[start]:
-                continue
-            comp = [start]
-            seen[start] = True
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for _, w, _ in arcs[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        seen = {start}
+        stack = [start]
+        while stack:
+            for _, w, _ in arcs[stack.pop()]:
+                if w not in seen and (alive is None or alive[w]):
+                    seen.add(w)
+                    stack.append(w)
+        return seen
 
     def with_base(self, v: int | None) -> "XDigraph":
         return XDigraph(self.rank, self.vertex_count, self.edges, v)
@@ -287,16 +277,7 @@ def core(g: XDigraph, v: int) -> XDigraph:
     """
     if not 0 <= v < g.vertex_count:
         raise ValueError("core base %d out of range" % v)
-    alive = _peel(g, v)
-    arcs = g._arcs
-    comp = {v}
-    stack = [v]
-    while stack:
-        for _, w, _ in arcs[stack.pop()]:
-            if alive[w] and w not in comp:
-                comp.add(w)
-                stack.append(w)
-    return _restrict(g, comp, v)
+    return _restrict(g, g._reach(v, _peel(g, v)), v)
 
 
 @dataclass(frozen=True)
@@ -339,7 +320,7 @@ def _is_core(g: XDigraph) -> bool:
     # Folded + connected + no degree-<=1 vertex besides the base.
     if g.base is None:
         return False
-    if len(g.components()) != 1:
+    if len(g._reach(g.base)) != g.vertex_count:
         return False
     return all(d >= 2 for v, d in enumerate(g.degrees) if v != g.base)
 
@@ -505,7 +486,7 @@ def digraph_isomorphic(
     for graph in (g, h):
         if not graph.is_folded:
             raise NotFoldedError("isomorphism test requires folded graphs")
-        if len(graph.components()) > 1:
+        if graph.vertex_count and len(graph._reach(0)) != graph.vertex_count:
             raise ValueError("isomorphism test requires connected graphs")
     if g.vertex_count != h.vertex_count or len(g.edges) != len(h.edges):
         return False
@@ -547,49 +528,49 @@ def spanning_tree_basis(h: Subgroup) -> list[Word]:
     The tree explores arcs in (discovery order, label, sign) order, so
     the output is deterministic; its length is edges - vertices + 1.
     """
-    g = h.graph
+    tree = _bfs_tree(h.graph, h.base)
+    tree_edges = {up[2] for up in tree.values() if up is not None}
+    basis = []
+    for eid, (o, t, l) in enumerate(h.graph.edges):
+        if eid in tree_edges:
+            continue
+        down = _tree_path(tree, o) + (2 * l,)
+        basis.append(Word._of(h.alphabet, _reduce(down + _inverse(_tree_path(tree, t)))))
+    return basis
+
+
+def _bfs_tree(g: XDigraph, root: int) -> dict[int, tuple[int, int, int] | None]:
+    """A breadth-first spanning tree of root's component: each reached
+    vertex maps to (parent, code of the arc from the parent, edge
+    index), the root to None.  Arcs are explored in (discovery order,
+    label, sign) order, and a vertex keeps the arc that first reaches it."""
     arcs = g._arcs
-    parent: dict[int, tuple[int, int] | None] = {h.base: None}
-    tree_edges: set[int] = set()
-    queue = deque([h.base])
+    tree: dict[int, tuple[int, int, int] | None] = {root: None}
+    queue = deque([root])
     while queue:
         v = queue.popleft()
         for c, to, eid in arcs[v]:
-            if to not in parent:
-                parent[to] = (v, c)
-                tree_edges.add(eid)
+            if to not in tree:
+                tree[to] = (v, c, eid)
                 queue.append(to)
+    return tree
 
-    def path_from_base(v: int) -> tuple[int, ...]:
-        codes: list[int] = []
-        while True:
-            up = parent[v]
-            if up is None:
-                return tuple(codes[::-1])
-            v, c = up
-            codes.append(c)
 
-    basis = []
-    for eid, (o, t, l) in enumerate(g.edges):
-        if eid in tree_edges:
-            continue
-        down = path_from_base(o) + (2 * l,)
-        basis.append(Word._of(h.alphabet, _reduce(down + _inverse(path_from_base(t)))))
-    return basis
+def _tree_path(tree: dict[int, tuple[int, int, int] | None], v: int) -> tuple[int, ...]:
+    """The codes along the tree path from the root to v."""
+    codes: list[int] = []
+    up = tree[v]
+    while up is not None:
+        v, c, _ = up
+        codes.append(c)
+        up = tree[v]
+    return tuple(codes[::-1])
 
 
 def has_cycle(g: XDigraph) -> bool:
     """Does some connected component contain at least as many edges as
     vertices?  (Equivalently: the symmetrized graph is not a forest.)"""
-    count: dict[int, int] = {}
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(g.components()):
-        for v in comp:
-            comp_of[v] = i
-        count[i] = -len(comp)
-    for o, _, _ in g.edges:
-        count[comp_of[o]] += 1
-    return any(c >= 0 for c in count.values())
+    return _find_cycle(g) is not None
 
 
 def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
@@ -642,23 +623,10 @@ def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
 
 def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
     """The label of a shortest u-to-v path in the symmetrized graph."""
-    arcs = g._arcs
-    parent: dict[int, tuple[int, int] | None] = {u: None}
-    queue = deque([u])
-    while queue and v not in parent:
-        x = queue.popleft()
-        for c, to, _ in arcs[x]:
-            if to not in parent:
-                parent[to] = (x, c)
-                queue.append(to)
-    if v not in parent:
+    tree = _bfs_tree(g, u)
+    if v not in tree:
         raise ValueError("no path between %d and %d" % (u, v))
-    codes: list[int] = []
-    walk = v
-    while parent[walk] is not None:
-        walk, c = parent[walk]  # type: ignore[misc]
-        codes.append(c)
-    return Word._of(alphabet, _reduce(codes[::-1]))
+    return Word._of(alphabet, _reduce(_tree_path(tree, v)))
 
 
 def graph_to_text(g: XDigraph, alphabet: Alphabet) -> str:

@@ -59,10 +59,12 @@ from .words import (
     Word,
     _arc_letters,
     _conjugator_length,
+    _encode,
     _inverse,
     _join,
     _least_rotation_start,
     _reduce,
+    _spelling,
     letter_support,
 )
 
@@ -169,12 +171,18 @@ def _free_image(images: _Images, word: Iterable[int]) -> list[int]:
     return out
 
 
-def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
-    """The canonical cyclic word of the image of a code word: junction
-    cancellation, cyclic reduction, then the least rotation."""
+def _cyclic_core(images: _Images, word: Iterable[int]) -> list[int]:
+    """The cyclically reduced core of the image of a code word, not yet
+    rotated: junction cancellation, then cyclic reduction."""
     out = _free_image(images, word)
     i = _conjugator_length(out)
-    core = out[i : len(out) - i]
+    return out[i : len(out) - i]
+
+
+def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
+    """The canonical cyclic word of the image of a code word: its cyclic
+    core in the least rotation."""
+    core = _cyclic_core(images, word)
     k = _least_rotation_start(core)
     return tuple(core[k:] + core[:k])
 
@@ -192,6 +200,7 @@ class WhiteheadAut(object):
     @classmethod
     def relabeling(cls, images: Sequence[Letter]) -> "WhiteheadAut":
         images = tuple(images)
+        _encode(images, len(images))
         if sorted(l.gen for l in images) != list(range(len(images))):
             raise ValueError("images must hit every generator exactly once")
         return cls(rank=len(images), images=images)
@@ -200,6 +209,7 @@ class WhiteheadAut(object):
     def multiplier(
         cls, rank: int, mult: Letter, actions: Sequence[int]
     ) -> "WhiteheadAut":
+        _encode((mult,), rank)
         actions = tuple([int(a) for a in actions])
         if len(actions) != rank:
             raise ValueError("need one action per generator")
@@ -236,7 +246,7 @@ class WhiteheadAut(object):
 
     def apply_to_cyclic(self, w: CyclicWord) -> CyclicWord:
         self._check_rank(w.alphabet)
-        return CyclicWord._of(w.alphabet, _cyclic_image(self._code_images, w.codes))
+        return CyclicWord._of(w.alphabet, _cyclic_core(self._code_images, w.codes))
 
     def _check_rank(self, alphabet: Alphabet) -> None:
         if alphabet.rank != self.rank:
@@ -247,14 +257,10 @@ class WhiteheadAut(object):
 
     def describe(self, alphabet: Alphabet) -> str:
         """External text form: 'perm a->b ...' or 'mult a b:right ...'."""
-
-        def letter_text(l: Letter) -> str:
-            s = alphabet.symbols[l.gen]
-            return s if l.sign > 0 else s.upper()
-
+        texts = _spelling(alphabet)[0]
         if self.images is not None:
             parts = [
-                "%s->%s" % (alphabet.symbols[g], letter_text(img))
+                "%s->%s" % (alphabet.symbols[g], texts[img.code])
                 for g, img in enumerate(self.images)
             ]
             return "perm " + " ".join(parts)
@@ -264,7 +270,7 @@ class WhiteheadAut(object):
             for g, a in enumerate(self.actions)
             if g != self.mult.gen
         ]
-        return "mult %s %s" % (letter_text(self.mult), " ".join(parts))
+        return "mult %s %s" % (texts[self.mult.code], " ".join(parts))
 
 
 def apply_whitehead(t: WhiteheadAut, w: CyclicWord) -> CyclicWord:

@@ -1,23 +1,27 @@
-"""Reference implementations of the Stallings kernel, the conjugacy
+"""Reference implementations of the Stallings kernel, the degree,
+folding, component and cycle tests on graph edges, the conjugacy
 search, the least rotation, the application of a Whitehead automorphism,
 the Nielsen search and the Letter-keyed words, kept as test oracles for
 the fast paths that replaced them.
 
-Each function is the straightforward version: fold restarts its scan
-after every merge, the peels recount every degree each round, intersect
-builds the whole product, arcs_from scans every edge, the conjugacy
-search tries every rotation at every vertex and the least rotation
-compares all n rotations; a Whitehead automorphism rewrites `Letter`s
-one by one, then reduces, cyclically reduces and rotates in full; the
-Nielsen search keys its states by
-(gen, sign) pairs and reduces every product in full; the parser reads
-every character by its case.  Words are tuples of `Letter`s, checked,
+Each function is the straightforward version: degrees and is_folded
+pass over the edges, is_folded with a seen-set per direction;
+components grows one depth-first search per unseen vertex, and
+has_cycle compares the edge and vertex counts of each component; fold
+restarts its scan after every merge, the peels recount every degree
+each round, intersect builds the whole product, arcs_from scans every
+edge, the conjugacy search tries every rotation at every vertex and
+the least rotation compares all n rotations; a Whitehead automorphism
+rewrites `Letter`s one by one, then reduces, cyclically reduces and
+rotates in full; the Nielsen search keys its states by (gen, sign)
+pairs and reduces every product in full; the parser reads every
+character by its case.  Words are tuples of `Letter`s, checked,
 reduced and rotated letter by letter, as `Word` and `CyclicWord` were
 before they stored vertex codes; the Nielsen search's words are signed
 codes g + 1 and -(g + 1).  They are slow on purpose and use only the
-library's graph type, `components`, `path_word` and the Nielsen move
-list; `tests/test_kernel_differential.py` asserts that the library
-returns exactly what they return.
+library's graph type, `path_word` and the Nielsen move list;
+`tests/test_kernel_differential.py` asserts that the library returns
+exactly what they return.
 """
 
 from __future__ import annotations
@@ -38,6 +42,62 @@ def restrict(g, keep, base):
     )
     new_base = index[base] if base is not None and base in index else None
     return XDigraph(g.rank, len(keep_sorted), edges, new_base)
+
+
+def degrees(g):
+    """Degree in the symmetrized graph: loops count twice."""
+    deg = [0] * g.vertex_count
+    for o, t, _ in g.edges:
+        deg[o] += 1
+        deg[t] += 1
+    return tuple(deg)
+
+
+def is_folded(g):
+    seen_out, seen_in = set(), set()
+    for o, t, l in g.edges:
+        if (o, l) in seen_out or (t, l) in seen_in:
+            return False
+        seen_out.add((o, l))
+        seen_in.add((t, l))
+    return True
+
+
+def components(g):
+    """The vertex sets of the connected components, each sorted, in order
+    of their least vertex."""
+    neighbours = [[] for _ in range(g.vertex_count)]
+    for o, t, _ in g.edges:
+        neighbours[o].append(t)
+        neighbours[t].append(o)
+    seen = [False] * g.vertex_count
+    comps = []
+    for start in range(g.vertex_count):
+        if seen[start]:
+            continue
+        comp = [start]
+        seen[start] = True
+        stack = [start]
+        while stack:
+            for w in neighbours[stack.pop()]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def has_cycle(g):
+    """Does some component hold at least as many edges as vertices?"""
+    count, comp_of = {}, {}
+    for i, comp in enumerate(components(g)):
+        for v in comp:
+            comp_of[v] = i
+        count[i] = -len(comp)
+    for o, _, _ in g.edges:
+        count[comp_of[o]] += 1
+    return any(c >= 0 for c in count.values())
 
 
 def fold(g):
@@ -90,7 +150,7 @@ def _peel_rounds(g, keep):
 
 def core(g, v):
     trimmed = restrict(g, _peel_rounds(g, v), v)
-    for comp in trimmed.components():
+    for comp in components(trimmed):
         if trimmed.base in comp:
             return restrict(trimmed, comp, trimmed.base)
     raise AssertionError("base lost its component")

@@ -129,6 +129,10 @@ class TestIso:
         assert run(["iso", "-n", "2"], g + "\n" + h)[0] == 0
         assert run(["iso", "-n", "2", "--based"], g + "\n" + h)[0] == 1
 
+    def test_empty_graphs(self):
+        # A graph with no vertices counts as connected.
+        assert run(["iso", "-n", "2"], "v 0\n\nv 0\n") == (0, "true\n", "")
+
     def test_bad_stdin(self):
         assert run(["iso", "-n", "2"], "v 1\n")[0] == 2
         assert run(["iso", "-n", "2"], "")[0] == 2

@@ -4,17 +4,22 @@ Nielsen search, the parser and the code-backed words returns exactly
 what the code it replaced returns (the oracles in `kernel_oracles.py`)."""
 
 import kernel_oracles as oracle
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from freegroups.cli import run
 from freegroups.stallings import (
+    NotFoldedError,
     XDigraph,
     build_subgroup,
     conjugator_into,
     contains_conjugate,
     core,
+    find_cycle,
     fold,
+    has_cycle,
     intersect,
+    path_word,
     product,
     type_graph,
 )
@@ -118,6 +123,52 @@ def wedge(gens, alphabet):
             edges.append((prev, nxt, l.gen) if l.sign > 0 else (nxt, prev, l.gen))
             prev = nxt
     return XDigraph(alphabet.rank, n, tuple(edges), 0)
+
+
+class TestArcTable:
+    """Degrees, the folding test, reachability, cycles and tree paths all
+    read the one arc table; the oracles read the edges."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_degrees_and_folding(self, g):
+        assert g.degrees == oracle.degrees(g)
+        assert g.is_folded == oracle.is_folded(g)
+        if not g.is_folded:
+            with pytest.raises(NotFoldedError):
+                g._steps
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_reach_is_a_component(self, g):
+        for comp in oracle.components(g):
+            assert g._reach(comp[-1]) == set(comp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_cycles(self, g):
+        assert has_cycle(g) == oracle.has_cycle(g)
+        assert (find_cycle(g) is None) == (not oracle.has_cycle(g))
+
+    @settings(max_examples=200, deadline=None)
+    @given(digraphs())
+    def test_path_word_walks_a_shortest_path(self, g):
+        g = fold(g)
+        alphabet = Alphabet.of_rank(g.rank)
+        distance, queue = {0: 0}, [0]
+        for v in queue:
+            for _, w, _ in oracle.arcs_from(g, v):
+                if w not in distance:
+                    distance[w] = distance[v] + 1
+                    queue.append(w)
+        for v in range(g.vertex_count):
+            if v not in distance:
+                with pytest.raises(ValueError):
+                    path_word(g, 0, v, alphabet)
+                continue
+            word = path_word(g, 0, v, alphabet)
+            assert len(word) == distance[v]
+            assert g._walk(0, word.codes) == v
 
 
 class TestFold:

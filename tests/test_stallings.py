@@ -336,6 +336,14 @@ class TestIsomorphism:
         with pytest.raises(NotFoldedError):
             digraph_isomorphic(unfolded, unfolded)
 
+    def test_requires_connected(self):
+        two_loops = XDigraph(2, 2, ((0, 0, 0), (1, 1, 0)))
+        with pytest.raises(ValueError, match="connected"):
+            digraph_isomorphic(two_loops, two_loops)
+        isolated = XDigraph(2, 2, ())
+        with pytest.raises(ValueError, match="connected"):
+            digraph_isomorphic(isolated, isolated)
+
 
 class TestSpanningTreeBasis:
     def test_rose(self):

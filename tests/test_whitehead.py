@@ -41,6 +41,7 @@ from freegroups.words import (
     Letter,
     TrivialWordError,
     Word,
+    _least_rotation_start,
     free_reduce,
     letter_support,
     parse_cyclic,
@@ -193,6 +194,28 @@ class TestApplication:
     def test_relabeling(self):
         t = WhiteheadAut.relabeling((Letter(1, 1), Letter(0, -1)))  # a->b, b->A
         assert str(t.apply_to_word(parse_word("ab", A2))) == "bA"
+
+    def test_describe_spells_letters_as_words_do(self):
+        named = Alphabet(("x0", "x1"))
+        t = WhiteheadAut.multiplier(2, Letter(0, -1), (Action.KEEP, Action.CONJ))
+        assert t.describe(named) == "mult x0^-1 x1:conj"
+        assert t.describe(A2) == "mult A b:conj"
+        r = WhiteheadAut.relabeling((Letter(1, -1), Letter(0, 1)))
+        assert r.describe(named) == "perm x0->x1^-1 x1->x0"
+        assert r.describe(A2) == "perm a->B b->a"
+
+    @pytest.mark.parametrize("mult", [Letter(-1, 1), Letter(2, 1), Letter(0, 2), Letter(1, 0)])
+    def test_multiplier_rejects_bad_letters(self, mult):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            WhiteheadAut.multiplier(2, mult, (Action.KEEP, Action.KEEP))
+
+    @pytest.mark.parametrize(
+        "images",
+        [(Letter(0, 2), Letter(1, 1)), (Letter(1, 1), Letter(0, 0)), (Letter(-1, 1), Letter(0, 1))],
+    )
+    def test_relabeling_rejects_bad_letters(self, images):
+        with pytest.raises(ValueError, match="outside alphabet"):
+            WhiteheadAut.relabeling(images)
 
     def test_inverse_round_trip_everywhere(self):
         autos = enumerate_whitehead(2) + enumerate_relabelings(2)
@@ -399,6 +422,20 @@ class TestDescentWork:
         ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
         _, descent = minimize_tuple(ws)
         assert len(descent) == steps
+        assert len(calls) == len(ws) * len(descent)
+
+    @pytest.mark.parametrize("rank,texts,steps", CASES)
+    def test_one_least_rotation_per_moved_word(self, monkeypatch, rank, texts, steps):
+        ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
+        calls = []
+
+        def counting(keys):
+            calls.append(len(keys))
+            return _least_rotation_start(keys)
+
+        monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
+        monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
+        _, descent = minimize_tuple(ws)
         assert len(calls) == len(ws) * len(descent)
 
 

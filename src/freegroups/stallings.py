@@ -128,12 +128,17 @@ class XDigraph(object):
                 return None
         return v
 
+    def _check_vertex(self, v: int, role: str = "vertex") -> None:
+        if not 0 <= v < self.vertex_count:
+            raise ValueError("%s %d out of range" % (role, v))
+
     def arcs_from(self, v: int) -> tuple[tuple[Letter, int, int], ...]:
         """All arcs leaving v in the symmetrized graph, sorted by letter.
 
         Returns (letter, head, edge index) triples; a loop contributes
         one positive and one negative arc.
         """
+        self._check_vertex(v)
         letters = _arc_letters(self.rank)
         return tuple([(letters[k], head, eid) for k, head, eid in self._arcs[v]])
 
@@ -275,8 +280,7 @@ def core(g: XDigraph, v: int) -> XDigraph:
     Peeling never disconnects what remains, so the component is found
     among the survivors.  The base of the result is v.
     """
-    if not 0 <= v < g.vertex_count:
-        raise ValueError("core base %d out of range" % v)
+    g._check_vertex(v, "core base")
     return _restrict(g, g._reach(v, _peel(g, v)), v)
 
 
@@ -483,6 +487,9 @@ def digraph_isomorphic(
     0 of g against every vertex of h (or just the given base pair) and
     propagate deterministically.
     """
+    if bases is not None:
+        g._check_vertex(bases[0], "base")
+        h._check_vertex(bases[1], "base")
     for graph in (g, h):
         if not graph.is_folded:
             raise NotFoldedError("isomorphism test requires folded graphs")
@@ -623,6 +630,8 @@ def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
 
 def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
     """The label of a shortest u-to-v path in the symmetrized graph."""
+    g._check_vertex(u)
+    g._check_vertex(v)
     tree = _bfs_tree(g, u)
     if v not in tree:
         raise ValueError("no path between %d and %d" % (u, v))

@@ -34,14 +34,14 @@ WHITEHEAD_BUDGET first.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
-tuple is decomposed into the shortest such move sequence.
+tuple is decomposed into the shortest such move sequence when a
+budgeted search finds it, and by Nielsen reduction otherwise.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from array import array
 from collections import deque
 from dataclasses import dataclass
@@ -68,12 +68,15 @@ from .words import (
     letter_support,
 )
 
-ORBIT_RANK_WARNING = 5
-
 # The most automorphisms of one kind (multipliers or relabelings) that a
 # call may enumerate.  Rank 6 has 12,276 multipliers and 46,080
 # relabelings; rank 7 has 57,330 and 645,120.
 WHITEHEAD_BUDGET = 50_000
+
+# The most tuples one breadth-first Nielsen search may hold: the default
+# budget of the bidirectional search, and the bound on each plateau of
+# equal total length in the reduction that backs it up.
+NIELSEN_BUDGET = 300_000
 
 
 class NotABasisError(ValueError):
@@ -82,6 +85,10 @@ class NotABasisError(ValueError):
 
 class WhiteheadBudgetError(ValueError):
     """The rank has more Whitehead automorphisms than WHITEHEAD_BUDGET."""
+
+
+class NielsenBudgetError(ValueError):
+    """A Nielsen reduction met over NIELSEN_BUDGET tuples of one length."""
 
 
 def _check_budget(count: int, kind: str, rank: int) -> None:
@@ -507,11 +514,6 @@ def equal_length_orbit(
     alphabet = _common_alphabet(start)
     rank = alphabet.rank
     _check_relabelings(rank)
-    if rank > ORBIT_RANK_WARNING:
-        warnings.warn(
-            "equal-length orbit over rank %d may be very large" % rank,
-            stacklevel=2,
-        )
     target = total_length(start)
     relabelings = [_relabeling_images(codes) for codes in _signed_permutations(rank)]
     orbit: set[tuple] = set()
@@ -609,14 +611,16 @@ class NielsenTransformation(object):
     target: int
     source: int | None = None
 
+    def __post_init__(self) -> None:
+        if min(self.target, self.source or 0) < 0 or self.target == self.source:
+            raise ValueError("a Nielsen move needs distinct non-negative entries")
+
     @classmethod
     def invert(cls, gen: int) -> "NielsenTransformation":
         return cls(gen)
 
     @classmethod
     def right_multiply(cls, gen: int, other: int) -> "NielsenTransformation":
-        if gen == other:
-            raise ValueError("right_multiply needs two distinct entries")
         return cls(gen, other)
 
     @property
@@ -624,6 +628,8 @@ class NielsenTransformation(object):
         return self.source is None
 
     def apply(self, words: Sequence[Word]) -> tuple[Word, ...]:
+        if max(self.target, self.source or 0) >= len(words):
+            raise ValueError("Nielsen move %r outside a tuple of %d words" % (self, len(words)))
         out = list(words)
         if self.source is None:
             out[self.target] = ~out[self.target]
@@ -704,12 +710,26 @@ def _elementary_moves(rank: int) -> list[NielsenTransformation]:
     return moves
 
 
+# A search's parent links: state -> (next state toward the root, move).
+_Parents = dict[_State, tuple[_State, NielsenTransformation] | None]
+
+
+def _path(parents: _Parents, state: _State) -> list[NielsenTransformation]:
+    """The moves on the parent links from the state to the root, in the
+    order the links are followed."""
+    path: list[NielsenTransformation] = []
+    while parents[state] is not None:
+        state, move = parents[state]  # type: ignore[misc]
+        path.append(move)
+    return path
+
+
 def _bidirectional_search(
     target: _State, rank: int, node_budget: int
 ) -> list[NielsenTransformation] | None:
     """Shortest elementary move sequence from the standard basis to the
     target, by bidirectional breadth-first search.  None if the budget
-    runs out (the caller falls back to greedy reduction).
+    runs out (the caller falls back to `_reduction_moves`).
 
     States are tuples of the words' vertex codes.  Both factors of a
     right-multiplication are reduced, so its product is a junction
@@ -723,32 +743,11 @@ def _bidirectional_search(
     if target == std:
         return []
     moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
-    # parents map a state to (previous state, move); move direction is
-    # forward (toward the target) on both sides.
-    parents_f: dict[_State, tuple[_State, NielsenTransformation] | None] = {std: None}
-    parents_b: dict[_State, tuple[_State, NielsenTransformation] | None] = {target: None}
+    # Moves point toward the target on both sides: forward links lead
+    # back to the standard basis, backward links on to the target.
+    parents_f: _Parents = {std: None}
+    parents_b: _Parents = {target: None}
     frontier_f, frontier_b = [std], [target]
-
-    def rebuild(meet: _State) -> list[NielsenTransformation]:
-        head: list[NielsenTransformation] = []
-        state = meet
-        while parents_f[state] is not None:
-            state, move = parents_f[state]  # type: ignore[misc]
-            head.append(move)
-        head.reverse()
-        state = meet
-        while parents_b[state] is not None:
-            state, move = parents_b[state]  # type: ignore[misc]
-            head.append(move)
-        return head
-
-    def depth(parents: dict, state: _State) -> int:
-        d = 0
-        while parents[state] is not None:
-            state = parents[state][0]
-            d += 1
-        return d
-
     while frontier_f and frontier_b:
         if len(parents_f) + len(parents_b) > node_budget:
             return None
@@ -773,8 +772,8 @@ def _bidirectional_search(
         if meets:
             # Meets in one batch share their depth on the expanded side but
             # not on the other; the shortest total wins.
-            best = min(meets, key=lambda m: depth(other, m))
-            return rebuild(best)
+            best = min(meets, key=lambda m: len(_path(other, m)))
+            return _path(parents_f, best)[::-1] + _path(parents_b, best)
         if forward:
             frontier_f = fresh
         else:
@@ -782,93 +781,75 @@ def _bidirectional_search(
     return None
 
 
-def _greedy_moves(words: tuple[Word, ...]) -> list[NielsenTransformation]:
-    """Length-monotone Nielsen reduction of a certified basis, recording
-    the elementary moves that carry the target back to the standard
-    basis.  May emit more moves than the shortest sequence."""
-    rank = len(words)
-    inv = NielsenTransformation.invert
-    rmul = NielsenTransformation.right_multiply
-    applied: list[NielsenTransformation] = []
+def _reduction_moves(target: _State) -> list[NielsenTransformation]:
+    """Elementary moves carrying the standard basis to a basis, by
+    Nielsen reduction walking back from it (Lyndon-Schupp, Combinatorial
+    Group Theory, I.2): complete, but not always shortest.
 
-    def do(seq: list[NielsenTransformation], current: tuple[Word, ...]) -> tuple[Word, ...]:
-        for m in seq:
-            current = m.apply(current)
-        applied.extend(seq)
-        return current
-
-    improved = True
-    while improved:
-        improved = False
-        for i in range(rank):
-            for j in range(rank):
-                if i == j:
-                    continue
-                u, v = words[i], words[j]
-                candidates = (
-                    (u * v, [rmul(i, j)]),
-                    (u * ~v, [inv(j), rmul(i, j), inv(j)]),
-                    (v * u, [inv(j), inv(i), rmul(i, j), inv(i), inv(j)]),
-                    (~v * u, [inv(i), rmul(i, j), inv(i)]),
-                )
-                for result, seq in candidates:
-                    if len(result) < len(u):
-                        words = do(seq, words)
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
+    A breadth-first search of predecessors through tuples of the current
+    total length restarts from the first shorter one.  A basis that is
+    not Nielsen-reduced has a move, one right-multiplication between
+    inversions, that shortens it or keeps its length and lowers the N2
+    order; so a shorter tuple is met until every word is a letter, and
+    explicit swaps and inversions undo the signed permutation left.
+    Read backwards, the moves recorded run forward from the standard
+    basis.  Raises NielsenBudgetError past NIELSEN_BUDGET tuples of one
+    total length, and CertificateError when no shorter tuple is met,
+    which a basis never allows.
+    """
+    rank = len(target)
+    moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
+    back: list[NielsenTransformation] = []
+    state, length = target, sum(map(len, target))
+    parents: _Parents = {state: None}
+    queue = deque([state])
+    while length > rank:
+        if not queue:
+            raise CertificateError("Nielsen reduction met no tuple shorter than %d" % length)
+        current = queue.popleft()
+        inverses = tuple([_inverse(w) for w in current])
+        for move, i, j in moves:
+            # The move carries `new` to `current`: rmul(i, j) undone is a
+            # right-multiplication by the inverse of entry j.
+            word = inverses[i] if j is None else _join(current[i], inverses[j])
+            new = current[:i] + (word,) + current[i + 1 :]
+            size = sum(map(len, new))
+            if size > length or new in parents:
+                continue
+            parents[new] = (current, move)
+            if size < length:
+                back.extend(reversed(_path(parents, new)))
+                state, length = new, size
+                parents, queue = {new: None}, deque([new])
                 break
-    if any(len(w) != 1 for w in words):
-        raise NotABasisError("Nielsen reduction stalled off the standard basis")
-    # Signed permutation cleanup: selection sort with explicit moves.
-    swap_template = lambda i, j: [rmul(i, j), inv(i), rmul(j, i), inv(j), rmul(i, j), inv(i)]
-    for pos in range(rank):
-        where = next(i for i in range(pos, rank) if words[i].codes[0] >> 1 == pos)
-        if where != pos:
-            words = do(swap_template(pos, where), words)
-        if words[pos].codes[0] & 1:
-            words = do([inv(pos)], words)
-    return applied
-
-
-def _invert_move_list(
-    applied: Sequence[NielsenTransformation],
-) -> list[NielsenTransformation]:
-    # Reverse and invert; the inverse of rmul(i, j) is inv(j) rmul(i, j) inv(j).
-    out: list[NielsenTransformation] = []
-    for m in reversed(applied):
-        if m.is_inversion:
-            out.append(m)
-        else:
-            assert m.source is not None
-            out.extend(
-                (
-                    NielsenTransformation.invert(m.source),
-                    m,
-                    NielsenTransformation.invert(m.source),
+            if len(parents) > NIELSEN_BUDGET:
+                raise NielsenBudgetError(
+                    "Nielsen reduction over the budget of %d tuples of one length" % NIELSEN_BUDGET
                 )
-            )
-    # Peephole: adjacent double inversions cancel.
-    cleaned: list[NielsenTransformation] = []
-    for m in out:
-        if cleaned and m.is_inversion and cleaned[-1] == m:
-            cleaned.pop()
-        else:
-            cleaned.append(m)
-    return cleaned
+            queue.append(new)
+    inv, rmul = NielsenTransformation.invert, NielsenTransformation.right_multiply
+    letters = [w[0] for w in state]
+    for i in range(rank):
+        j = next(k for k in range(i, rank) if letters[k] >> 1 == i)
+        if j != i:
+            # Read backwards, these six moves swap entries i and j of any tuple.
+            back += [inv(i), rmul(i, j), inv(j), rmul(j, i), inv(i), rmul(i, j)]
+            letters[i], letters[j] = letters[j], letters[i]
+        if letters[i] & 1:
+            back.append(inv(i))
+    return back[::-1]
 
 
 def nielsen_decompose(
-    target: Sequence[Word], alphabet: Alphabet, node_budget: int = 300_000
+    target: Sequence[Word], alphabet: Alphabet, node_budget: int = NIELSEN_BUDGET
 ) -> list[NielsenTransformation]:
-    """The shortest elementary move sequence carrying the standard basis
-    to the target tuple, exactly and in order.
+    """An elementary move sequence carrying the standard basis to the
+    target tuple, exactly and in order: the shortest one when the
+    bidirectional search finds it within `node_budget` states, else a
+    complete Nielsen reduction whose move list may be longer.
 
-    Raises NotABasisError when the words do not form a basis.  Very long
-    bases can exhaust the search budget; the fallback is a greedy
-    Nielsen reduction whose move list may not be shortest.
+    Raises NotABasisError when the words do not form a basis, and
+    NielsenBudgetError when the reduction passes NIELSEN_BUDGET.
     """
     words = tuple(target)
     if len(words) != alphabet.rank:
@@ -886,14 +867,15 @@ def nielsen_decompose(
 
 
 def _decompose_basis(
-    words: tuple[Word, ...], alphabet: Alphabet, node_budget: int = 300_000
+    words: tuple[Word, ...], alphabet: Alphabet, node_budget: int = NIELSEN_BUDGET
 ) -> list[NielsenTransformation]:
     """nielsen_decompose for words already certified to form a basis of
     the alphabet's rank, such as the combined basis of a verified
     splitting: no fold re-checks them, but the replay check still runs."""
-    moves = _bidirectional_search(tuple([w.codes for w in words]), alphabet.rank, node_budget)
+    target = tuple([w.codes for w in words])
+    moves = _bidirectional_search(target, alphabet.rank, node_budget)
     if moves is None:
-        moves = _invert_move_list(_greedy_moves(words))
+        moves = _reduction_moves(target)
     if apply_nielsen(moves, alphabet) != words:
         raise CertificateError("the move list does not replay to the target")
     return moves

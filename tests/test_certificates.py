@@ -48,6 +48,13 @@ expect_certificate_error(
 )
 whitehead.apply_nielsen = real_apply
 
+# Nielsen reduction: every plateau of a certified basis has a way down,
+# so a non-basis passed as certified must not be reduced silently.
+expect_certificate_error(
+    "nielsen_reduction",
+    lambda: whitehead._decompose_basis((parse_word("aa", A2), parse_word("b", A2)), A2, 0),
+)
+
 # Whitehead-graph scoring: every applied move must give the predicted length.
 # Both the descent and the orbit take the cyclic core of each image.
 whitehead._cyclic_core = lambda images, word: [0, 2, 2]
@@ -82,6 +89,7 @@ def test_certificate_checks_survive_optimized_mode():
     assert done.stdout.splitlines() == [
         "words_distance_two raised",
         "nielsen_decompose raised",
+        "nielsen_reduction raised",
         "minimize_tuple raised",
         "equal_length_orbit raised",
         "build_subgroup raised",

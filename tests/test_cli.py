@@ -2,7 +2,7 @@ import threading
 
 import pytest
 
-from freegroups import cli
+from freegroups import cli, whitehead
 from freegroups.cli import main, run
 
 GRAPH_BAB = "v 2\nbase 0\ne 0 1 b\ne 1 1 a\n"
@@ -196,6 +196,21 @@ class TestSplittingCommands:
             "",
         )
         assert run(["nielsen-bound", "-n", "2", "split a | b", "split a | b"])[1] == "0\n"
+
+    # Both splittings verify, but their combined basis lies beyond the
+    # search budget, so the Nielsen reduction gives the bound.
+    BEYOND_SEARCH = ["nielsen-bound", "-n", "3", "split abc babcabc | CBAC", "split aba CABC | C"]
+
+    def test_nielsen_bound_beyond_the_search_budget(self):
+        code, out, err = run(self.BEYOND_SEARCH)
+        assert (code, err) == (0, "")
+        assert int(out) > 0 and int(out) % 2 == 0
+
+    def test_nielsen_reduction_budget(self, monkeypatch):
+        monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 3)
+        code, out, err = run(self.BEYOND_SEARCH)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Nielsen reduction over the budget of 3 tuples")
 
 
 class TestDeterminism:

@@ -480,6 +480,27 @@ class TestBaseDegreeInvariant:
         assert checked > 20
 
 
+class TestVertexRange:
+    # Negative vertices must not wrap around to the last ones.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: g.arcs_from(-1),
+            lambda g: g.arcs_from(2),
+            lambda g: path_word(g, -1, 0, A2),
+            lambda g: path_word(g, 0, -1, A2),
+            lambda g: digraph_isomorphic(g, g, (-1, -1)),
+            lambda g: digraph_isomorphic(g, g, (0, 2)),
+            lambda g: core(g, -1),
+        ],
+    )
+    def test_rejects_vertices_out_of_range(self, call):
+        g = sub("baB").graph
+        assert g.vertex_count == 2
+        with pytest.raises(ValueError, match="out of range"):
+            call(g)
+
+
 class TestPathWord:
     def test_path_label_traces(self):
         h = sub("baB")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -29,6 +30,7 @@ from freegroups.whitehead import (
     standard_basis,
     total_length,
     WhiteheadBudgetError,
+    _elementary_moves,
     _flow_reaches,
     _length_changes,
     _multiplier,
@@ -490,6 +492,15 @@ class TestBudgets:
 
 
 class TestOrbits:
+    def test_large_rank_writes_no_warning(self):
+        # cli.run writes to no shared stream; the relabeling budget bounds
+        # the orbit.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(["orbit", "-n", "6", "a"])
+        assert (code, err) == (0, "")
+        assert caught == []
+
     def test_singleton_orbit(self):
         orbit = equal_length_orbit((cyc("a"),))
         texts = sorted(str(t[0]) for t in orbit)
@@ -617,15 +628,31 @@ class TestNielsen:
         # shortest elementary sequence; verified against a full search below
         assert len(moves) == iddfs_min_moves(tuple(target), A2)
 
-    def test_greedy_fallback_round_trips(self):
-        # starve the search so the greedy reducer does the work
-        rng = random.Random(79)
-        all_moves = [inv(0), inv(1), rmul(0, 1), rmul(1, 0)]
-        for _ in range(20):
-            build = [rng.choice(all_moves) for _ in range(rng.randrange(1, 8))]
-            target = apply_nielsen(build, A2)
-            moves = nielsen_decompose(list(target), A2, node_budget=1)
-            assert apply_nielsen(moves, A2) == target
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_reduction_round_trips(self, data):
+        # Starve the search so the Nielsen reduction does all the work.
+        rank = data.draw(st.sampled_from((2, 3, 4)))
+        alphabet = Alphabet.of_rank(rank)
+        build = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=25))
+        target = apply_nielsen(build, alphabet)
+        moves = nielsen_decompose(list(target), alphabet, node_budget=0)
+        assert apply_nielsen(moves, alphabet) == target
+
+    def test_reduction_crosses_equal_length_plateaus(self):
+        # No entry gets shorter by multiplying it by another on either
+        # side, so only length-preserving moves lead on.
+        target = tuple(parse_word(t, A3) for t in ("BA", "Acb", "cA"))
+        moves = nielsen_decompose(list(target), A3, node_budget=0)
+        assert apply_nielsen(moves, A3) == target
+
+    def test_moves_reject_bad_entries(self):
+        for make in (lambda: rmul(1, -1), lambda: rmul(-1, 0), lambda: rmul(1, 1), lambda: inv(-1)):
+            with pytest.raises(ValueError):
+                make()
+        for move in (inv(2), rmul(0, 2), rmul(2, 0)):
+            with pytest.raises(ValueError, match="outside a tuple"):
+                move.apply(standard_basis(A2))
 
     def test_substitution_matches_tuple_action(self):
         rng = random.Random(71)

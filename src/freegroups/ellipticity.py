@@ -26,7 +26,7 @@ from .stallings import (
     Subgroup,
     XDigraph,
     _find_cycle,
-    _is_rose,
+    _generates,
     build_subgroup,
     contains_conjugate,
     intersect,
@@ -159,12 +159,12 @@ def verify_splitting(
     """Certify that the two word lists present a free splitting F = A * B.
 
     The basis sizes must add up to the rank n, and the combined words
-    must generate F: their graph folds to the rose on the alphabet.  That
+    must generate F: their wedge folds to the rose on the alphabet.  That
     suffices.  F_n is Hopfian, so n words that generate it form a basis,
     and any subset of a basis freely generates the subgroup it spans.
     So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
-    Only the combined graph is built; the factor graphs are built when a
-    decider first needs them.
+    The test reads the fold's vertex classes and builds no graph; the
+    factor graphs are built when a decider first needs them.
     """
     a, b = tuple(basis_a), tuple(basis_b)
     if not a or not b:
@@ -179,7 +179,7 @@ def verify_splitting(
             "basis sizes %d + %d do not sum to the rank %d"
             % (len(a), len(b), alphabet.rank)
         )
-    if not _is_rose(build_subgroup(list(a + b), alphabet)):
+    if not _generates([w.codes for w in a + b], alphabet.rank):
         raise DoesNotGenerateError("combined basis words do not generate F")
     s = FreeSplitting(alphabet, a, b)
     object.__setattr__(s, "_certificate", _CERTIFIED)

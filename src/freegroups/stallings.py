@@ -170,77 +170,68 @@ def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
     return XDigraph(g.rank, len(keep_sorted), edges, new_base)
 
 
-class _UnionFind(object):
-    """Union-find with path compression; the smallest member leads its class."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> tuple[int, int] | None:
-        """Join the classes of a and b; return (leader, absorbed root), or
-        None if they were one class already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return None
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
-
-
-def fold(g: XDigraph) -> XDigraph:
-    """Merge edges with equal label and a shared endpoint until folded.
+def _fold_classes(vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> tuple[list[int], list]:
+    """Which vertices Stallings folding identifies, read off the edge
+    triples alone: (leader, out), where leader[v] is the smallest vertex
+    of v's class and out[u] the out-table of the class u leads.
 
     Worklist folding (Touikan 2006; Kapovich-Myasnikov 2002): every
-    vertex class keeps an out-table and an in-table label -> vertex, and
-    a stack holds the vertex pairs still to be identified.  A union
-    moves the absorbed class's tables into the leader's and pushes each
-    label clash this creates, so a merge costs O(rank) and the whole
-    fold is near-linear.  The folded quotient does not depend on merge
-    order; vertices are numbered by their class's smallest original
-    index.
+    class keeps an out-table and an in-table label -> vertex, and a stack
+    holds the vertex pairs still to be identified.  A union moves the
+    absorbed class's tables into the leader's and pushes each label
+    clash this creates, so a merge costs O(rank) and the whole fold is
+    near-linear.  The classes do not depend on merge order.
     """
-    uf = _UnionFind(g.vertex_count)
-    tables: tuple[list, list] = (
-        [{} for _ in range(g.vertex_count)],  # out: label -> terminus
-        [{} for _ in range(g.vertex_count)],  # in: label -> origin
-    )
-    out, inn = tables
+    parent = list(range(vertex_count))
+    out = [{} for _ in range(vertex_count)]  # label -> terminus
+    inn = [{} for _ in range(vertex_count)]  # label -> origin
     pending: list[tuple[int, int]] = []
-    for o, t, l in g.edges:
+    for o, t, l in edges:
         far = out[o].setdefault(l, t)
         if far != t:
             pending.append((far, t))
         far = inn[t].setdefault(l, o)
         if far != o:
             pending.append((far, o))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]  # path halving
+        return v
+
     while pending:
-        merged = uf.union(*pending.pop())
-        if merged is None:
+        a, b = pending.pop()
+        leader, absorbed = find(a), find(b)
+        if leader == absorbed:
             continue
-        leader, absorbed = merged
-        for table in tables:
+        if absorbed < leader:
+            leader, absorbed = absorbed, leader
+        parent[absorbed] = leader
+        for table in (out, inn):
             mine = table[leader]
             for l, v in table[absorbed].items():
                 far = mine.setdefault(l, v)
                 if far != v:
                     pending.append((far, v))
             table[absorbed] = None
-    leader = [uf.find(v) for v in range(g.vertex_count)]
-    reps = sorted(set(leader))
-    index = {r: i for i, r in enumerate(reps)}
-    new = [index[r] for r in leader]
-    edges = {(new[o], new[t], l) for o, t, l in g.edges}
-    base = new[g.base] if g.base is not None else None
-    return XDigraph(g.rank, len(reps), tuple(edges), base)
+    return [find(v) for v in range(vertex_count)], out
+
+
+def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | None) -> XDigraph:
+    """The graph with each class of `leader` made one vertex, numbered in
+    the order of their smallest members; parallel duplicates collapse."""
+    index: dict[int, int] = {}
+    # A leader is the first member of its class that the scan meets.
+    new = [index.setdefault(r, len(index)) for r in leader]
+    folded = {(new[o], new[t], l) for o, t, l in edges}
+    return XDigraph(rank, len(index), tuple(folded), None if base is None else new[base])
+
+
+def fold(g: XDigraph) -> XDigraph:
+    """Merge edges with equal label and a shared endpoint until folded.
+    Vertices are numbered by their class's smallest original index."""
+    leader, _ = _fold_classes(g.vertex_count, g.edges)
+    return _quotient(g.rank, leader, g.edges, g.base)
 
 
 def _peel(g: XDigraph, keep: int | None) -> list[bool]:
@@ -303,7 +294,10 @@ class Subgroup(object):
             raise ValueError("graph rank %d does not match alphabet" % g.rank)
         if not g.is_folded:
             raise NotFoldedError("subgroup graph must be folded")
-        if not _is_core(g):
+        # The core: connected, and no vertex but the base of degree below two.
+        if len(g._reach(g.base)) != g.vertex_count or any(
+            d < 2 for v, d in enumerate(g.degrees) if v != g.base
+        ):
             raise ValueError("subgroup graph must be a core graph at its base")
 
     @property
@@ -320,19 +314,30 @@ class Subgroup(object):
         return not self.graph.edges
 
 
-def _is_core(g: XDigraph) -> bool:
-    # Folded + connected + no degree-<=1 vertex besides the base.
-    if g.base is None:
-        return False
-    if len(g._reach(g.base)) != g.vertex_count:
-        return False
-    return all(d >= 2 for v, d in enumerate(g.degrees) if v != g.base)
+def _wedge(code_words: Iterable[Sequence[int]]) -> tuple[int, list[tuple[int, int, int]]]:
+    """The wedge of subdivided loops, one per nontrivial code word, at
+    base vertex 0: (vertex count, edge triples)."""
+    edges: list[tuple[int, int, int]] = []
+    n_vertices = 1
+    for codes in code_words:
+        if not codes:
+            continue
+        path = [0, *range(n_vertices, n_vertices + len(codes) - 1), 0]
+        n_vertices += len(codes) - 1
+        for prev, nxt, c in zip(path, path[1:], codes):
+            edges.append((nxt, prev, c >> 1) if c & 1 else (prev, nxt, c >> 1))
+    return n_vertices, edges
 
 
-def _is_rose(h: Subgroup) -> bool:
-    """Is h the whole group?  Its graph is then the rose: one vertex with
-    a loop per generator (folding makes the loop labels distinct)."""
-    return h.graph.vertex_count == 1 and len(h.graph.edges) == h.graph.rank
+def _generates(code_words: Sequence[Sequence[int]], rank: int) -> bool:
+    """Do the code words generate the free group of the rank?  Exactly
+    when their wedge folds to the rose.  A folded connected graph has at
+    most one arc per code at each vertex, so it is the rose when it has
+    one vertex and that vertex's out-table holds all `rank` labels.  No
+    graph is built."""
+    n_vertices, edges = _wedge(code_words)
+    leader, out = _fold_classes(n_vertices, edges)
+    return len(out[0]) == rank and not any(leader)
 
 
 def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
@@ -340,23 +345,9 @@ def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
     for w in generators:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generator over a different alphabet")
-    edges: list[tuple[int, int, int]] = []
-    n_vertices = 1
-    for w in generators:
-        if w.is_trivial:
-            continue
-        prev = 0
-        for i, c in enumerate(w.codes):
-            nxt = 0 if i == len(w.codes) - 1 else n_vertices
-            if nxt != 0:
-                n_vertices += 1
-            if c & 1:
-                edges.append((nxt, prev, c >> 1))
-            else:
-                edges.append((prev, nxt, c >> 1))
-            prev = nxt
-    wedge = XDigraph(alphabet.rank, n_vertices, tuple(edges), base=0)
-    folded = fold(wedge)
+    n_vertices, edges = _wedge([w.codes for w in generators])
+    leader, _ = _fold_classes(n_vertices, edges)
+    folded = _quotient(alphabet.rank, leader, edges, 0)
     if folded.base is None:
         raise CertificateError("folding lost the base vertex")
     return Subgroup(core(folded, folded.base), alphabet)

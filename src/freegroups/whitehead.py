@@ -49,7 +49,7 @@ from enum import IntEnum
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .stallings import CertificateError, _is_rose, build_subgroup
+from .stallings import CertificateError, _generates
 from .words import (
     Alphabet,
     AlphabetMismatchError,
@@ -508,7 +508,8 @@ def equal_length_orbit(
     of relabeling classes, and the search scores the multipliers on one
     tuple per class: each tuple a multiplier reaches outside the closure
     found so far brings in its whole class.  The search runs on code
-    words; each member becomes a CyclicWord tuple once, at the end.
+    words in least rotation; each member becomes a CyclicWord tuple
+    once, at the end, without a second rotation.
     """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
@@ -536,7 +537,7 @@ def equal_length_orbit(
                 reached = image(_multiplier_images(m, _actions(rank, m >> 1, code)), current)
                 if reached not in orbit:
                     add_class(reached)
-    return {tuple([CyclicWord._of(alphabet, w) for w in member]) for member in orbit}
+    return {tuple([CyclicWord._of(alphabet, w, rotate=False) for w in member]) for member in orbit}
 
 
 def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
@@ -627,9 +628,12 @@ class NielsenTransformation(object):
     def is_inversion(self) -> bool:
         return self.source is None
 
+    def _check_within(self, count: int, what: str) -> None:
+        if max(self.target, self.source or 0) >= count:
+            raise ValueError("Nielsen move %r outside %s" % (self, what % count))
+
     def apply(self, words: Sequence[Word]) -> tuple[Word, ...]:
-        if max(self.target, self.source or 0) >= len(words):
-            raise ValueError("Nielsen move %r outside a tuple of %d words" % (self, len(words)))
+        self._check_within(len(words), "a tuple of %d words")
         out = list(words)
         if self.source is None:
             out[self.target] = ~out[self.target]
@@ -639,6 +643,7 @@ class NielsenTransformation(object):
 
     def substitute(self, w: Word, inverse: bool = False) -> Word:
         """Apply as an automorphism (or its inverse) by letter substitution."""
+        self._check_within(w.alphabet.rank, "an alphabet of rank %d")
         out: list[int] = []
         for c in w.codes:
             if c >> 1 != self.target:
@@ -651,6 +656,7 @@ class NielsenTransformation(object):
         return Word._of(w.alphabet, _reduce(out))
 
     def describe(self, alphabet: Alphabet) -> str:
+        self._check_within(alphabet.rank, "an alphabet of rank %d")
         if self.source is None:
             return "inv %s" % alphabet.symbols[self.target]
         return "rmul %s %s" % (alphabet.symbols[self.target], alphabet.symbols[self.source])
@@ -692,7 +698,7 @@ def moves_apply_word_inverse(
 def _is_basis(target: Sequence[Word], alphabet: Alphabet) -> bool:
     # n words generate F(X) iff their Stallings graph is the full rose;
     # since free groups are Hopfian, generation by n words makes a basis.
-    return _is_rose(build_subgroup(list(target), alphabet))
+    return _generates([w.codes for w in target], alphabet.rank)
 
 
 # A state of the Nielsen search: the tuple's words as vertex codes.

@@ -147,10 +147,11 @@ class _CodedWord(object):
         self._set(alphabet, _encode(letters, alphabet.rank))
 
     @classmethod
-    def _of(cls, alphabet: Alphabet, codes: Sequence[int]):
-        """Build from vertex codes, checked as the constructor checks Letters."""
+    def _of(cls, alphabet: Alphabet, codes: Sequence[int], **options):
+        """Build from vertex codes, checked as the constructor checks
+        Letters; `options` go to the subclass's `_set`."""
         word = object.__new__(cls)
-        word._set(alphabet, tuple(codes))
+        word._set(alphabet, tuple(codes), **options)
         return word
 
     def __len__(self) -> int:
@@ -199,9 +200,10 @@ class CyclicWord(_CodedWord):
     structurally equal values represent equal conjugacy classes.
     """
 
-    def _set(self, alphabet: Alphabet, codes: tuple[int, ...]) -> None:
+    def _set(self, alphabet: Alphabet, codes: tuple[int, ...], rotate: bool = True) -> None:
+        # rotate=False: the codes are already in their least rotation.
         _check(codes, alphabet.rank, cyclic=True)
-        k = _least_rotation_start(codes)
+        k = _least_rotation_start(codes) if rotate else 0
         object.__setattr__(self, "alphabet", alphabet)
         object.__setattr__(self, "codes", codes[k:] + codes[:k])
 

@@ -21,7 +21,9 @@ before they stored vertex codes; the Nielsen search's words are signed
 codes g + 1 and -(g + 1).  They are slow on purpose and use only the
 library's graph type, `path_word` and the Nielsen move list;
 `tests/test_kernel_differential.py` asserts that the library returns
-exactly what they return.
+exactly what they return.  The rose test reads the whole core graph
+that build_subgroup returns, as the generation test did before it
+stopped at the fold.
 """
 
 from __future__ import annotations
@@ -131,6 +133,12 @@ def fold(g):
     edges = {(index[find(o)], index[find(t)], l) for o, t, l in g.edges}
     base = index[find(g.base)] if g.base is not None else None
     return XDigraph(g.rank, len(reps), tuple(edges), base)
+
+
+def is_rose(h):
+    """Is h the whole group?  Its graph is then the rose: one vertex with
+    a loop per generator (folding makes the loop labels distinct)."""
+    return h.graph.vertex_count == 1 and len(h.graph.edges) == h.graph.rank
 
 
 def _peel_rounds(g, keep):

@@ -65,8 +65,10 @@ expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
 )
 
-# Folding keeps the base vertex of the wedge it folds.
-stallings.fold = lambda g: g.with_base(None)
+# Folding keeps the base vertex of the wedge it folds: build_subgroup
+# folds the wedge's edge list and takes the quotient at vertex 0.
+real_quotient = stallings._quotient
+stallings._quotient = lambda rank, leader, edges, base: real_quotient(rank, leader, edges, None)
 expect_certificate_error(
     "build_subgroup", lambda: stallings.build_subgroup([parse_word("ab", A2)], A2)
 )

@@ -20,8 +20,9 @@ from freegroups.ellipticity import (
     word_elliptic,
     words_distance_two,
 )
-from freegroups import whitehead
+from freegroups import stallings, whitehead
 from freegroups.stallings import (
+    XDigraph,
     build_subgroup,
     conjugator_into,
     contains,
@@ -35,6 +36,7 @@ from freegroups.whitehead import (
     enumerate_whitehead,
     is_primitive,
     moves_apply_word,
+    nielsen_decompose,
 )
 from freegroups.words import (
     Alphabet,
@@ -118,6 +120,16 @@ class TestVerify:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             splittings_distance_two(split("a | b"), split("a b | c", A3))
+
+    def test_verification_builds_no_graph(self, monkeypatch):
+        # The generation test stops at the fold's vertex classes.
+        built = []
+        original = XDigraph.__post_init__
+        monkeypatch.setattr(XDigraph, "__post_init__", lambda g: built.append(g) or original(g))
+        assert split("ab | b").verified and split("ac b | Cb", A3).verified
+        with pytest.raises(DoesNotGenerateError):
+            split("ab | ba")
+        assert built == []
 
     def test_factor_subgroups(self):
         s = split("ab | b")
@@ -452,11 +464,18 @@ class TestNielsenBound:
         ]
         expected = [nielsen_bound(s1, s2) for s1, s2 in pairs]
 
-        def refold(target, alphabet):
+        def refold(*args):
             raise AssertionError("nielsen_bound folded a certified basis again")
 
+        # Every fold, and so every generation test, runs the one kernel.
         monkeypatch.setattr(whitehead, "_is_basis", refold)
+        monkeypatch.setattr(stallings, "_fold_classes", refold)
         assert [nielsen_bound(s1, s2) for s1, s2 in pairs] == expected
+        # Both hooks are live: a decomposition and a verification do fold.
+        with pytest.raises(AssertionError, match="folded"):
+            nielsen_decompose(list(pairs[0][0].combined), A2)
+        with pytest.raises(AssertionError, match="folded"):
+            split("ab | b")
 
     def test_rank_one_rejected(self):
         # Two proper factors need rank two, so no rank-one splitting is

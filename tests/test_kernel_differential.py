@@ -11,6 +11,7 @@ from freegroups.cli import run
 from freegroups.stallings import (
     NotFoldedError,
     XDigraph,
+    _generates,
     build_subgroup,
     conjugator_into,
     contains_conjugate,
@@ -186,6 +187,39 @@ class TestFold:
         assert fold(g) == oracle.fold(g)
         folded = oracle.fold(g)
         assert build_subgroup(gens, alphabet).graph == oracle.core(folded, folded.base)
+
+
+@st.composite
+def generation_cases(draw):
+    """(alphabet, words, known answer or None) at ranks 1-4: random tuples
+    of up to rank + 1 words, few of which generate, and bases reached from
+    the standard basis by random Nielsen moves, kept whole, with one entry
+    squared (a proper subgroup of index two) or with one entry dropped
+    (too few words to generate)."""
+    rank = draw(st.integers(1, 4))
+    alphabet = Alphabet.of_rank(rank)
+    if draw(st.booleans()):
+        words = draw(st.lists(st.lists(letters(rank), max_size=8), max_size=rank + 1))
+        return alphabet, [free_reduce(w, alphabet) for w in words], None
+    moves = draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=12))
+    basis = list(apply_nielsen(moves, alphabet))
+    spoil = draw(st.sampled_from(("none", "square", "drop")))
+    i = draw(st.integers(0, rank - 1))
+    if spoil == "square":
+        basis[i] = basis[i] * basis[i]
+    elif spoil == "drop":
+        del basis[i]
+    return alphabet, basis, spoil == "none"
+
+
+class TestGeneration:
+    @settings(max_examples=400, deadline=None)
+    @given(generation_cases())
+    def test_generation_stops_at_the_fold(self, case):
+        alphabet, words, known = case
+        expected = oracle.is_rose(build_subgroup(words, alphabet))
+        assert known is None or expected == known
+        assert _generates([w.codes for w in words], alphabet.rank) == expected
 
 
 class TestPeeling:

@@ -108,6 +108,15 @@ class TestBuild:
         assert h.graph.vertex_count == 1
         assert h.graph.edges == ((0, 0, 0), (0, 0, 1))
 
+    @pytest.mark.parametrize("texts", ["baB", "aa aaa", "a b", "abA bab", "1"])
+    def test_builds_the_folded_graph_and_its_core_only(self, monkeypatch, texts):
+        # The wedge is folded as an edge list, so no graph is made for it.
+        built = []
+        original = XDigraph.__post_init__
+        monkeypatch.setattr(XDigraph, "__post_init__", lambda g: built.append(g) or original(g))
+        h = sub(texts)
+        assert len(built) == 2 and built[-1] == h.graph
+
     def test_free_rank(self):
         assert sub("a b").free_rank == 2
         assert sub("baB").free_rank == 1

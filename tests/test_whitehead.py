@@ -441,6 +441,32 @@ class TestDescentWork:
         assert len(calls) == len(ws) * len(descent)
 
 
+    @pytest.mark.parametrize("rank,texts", [(2, "abAB"), (3, "abc"), (3, "abAB c"), (3, "aab bc")])
+    def test_orbit_rotates_each_image_once(self, monkeypatch, rank, texts):
+        # Each image comes out of _cyclic_image in its least rotation, so
+        # the members are built without a second rotation.
+        ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
+        rotations, images = [], []
+        original = whitehead._cyclic_image
+
+        def counting(keys):
+            rotations.append(len(keys))
+            return _least_rotation_start(keys)
+
+        def imaging(images_, word):
+            images.append(word)
+            return original(images_, word)
+
+        monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
+        monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
+        monkeypatch.setattr(whitehead, "_cyclic_image", imaging)
+        orbit = equal_length_orbit(ws)
+        assert len(rotations) == len(images)
+        monkeypatch.undo()
+        for member in orbit:
+            assert member == tuple(CyclicWord._of(w.alphabet, w.codes) for w in member)
+
+
 class TestNoAutomorphismTable:
     def test_requests_build_no_automorphism_objects(self):
         enumerate_whitehead.cache_clear()
@@ -653,6 +679,21 @@ class TestNielsen:
         for move in (inv(2), rmul(0, 2), rmul(2, 0)):
             with pytest.raises(ValueError, match="outside a tuple"):
                 move.apply(standard_basis(A2))
+
+    def test_moves_outside_the_alphabet_are_rejected(self):
+        # Over rank 2 there is no third generator to substitute or name.
+        ab = parse_word("ab", A2)
+        for move in (rmul(5, 0), inv(2), rmul(0, 2)):
+            for call in (
+                lambda: move.substitute(ab),
+                lambda: move.substitute(ab, inverse=True),
+                lambda: moves_apply_word([move], ab),
+                lambda: moves_apply_word_inverse([move], ab),
+                lambda: move.describe(A2),
+            ):
+                with pytest.raises(ValueError, match="outside an alphabet of rank 2"):
+                    call()
+        assert rmul(2, 0).describe(A3) == "rmul c a"
 
     def test_substitution_matches_tuple_action(self):
         rng = random.Random(71)

@@ -31,8 +31,8 @@ def split(text, alph=alphabet):
                             [parse_word(t, alph) for t in b.split()], alph)
 
 
-# Splittings must be verified: the factor bases together must actually
-# form a basis of the whole group, with the right ranks.
+# Constructing a splitting verifies it: the factor bases together must
+# actually form a basis of the whole group, with the right ranks.
 s1 = split("a | b")
 s2 = split("ab | b")
 print("verified splittings:", s1, "and", s2)

@@ -66,26 +66,24 @@ class RankMismatchError(SplittingError):
     """Factor basis sizes are incompatible with the alphabet rank."""
 
 
-class UnverifiedSplittingError(SplittingError):
-    """The operation needs a splitting certified by verify_splitting."""
-
-
 class TrivialIntersectionError(ValueError):
     """The chosen factors intersect trivially."""
-
-
-# The certificate only verify_splitting hands out.
-_CERTIFIED = object()
 
 
 @dataclass(frozen=True)
 class FreeSplitting(object):
     """F = A * B presented by a basis of each factor.
 
-    Only verify_splitting can certify a splitting: it stores a sentinel
-    that no other code holds in a field the constructor does not take,
-    and the deciders refuse splittings without it.  A splitting built
-    directly, or by dataclasses.replace, is not `verified`.  Each
+    Construction certifies the splitting, so holding a FreeSplitting is
+    proof that it is one, as holding a Subgroup is; dataclasses.replace
+    constructs, and so checks, again, and a copy or a pickle round trip
+    restores a certified splitting's fields.  The bases are stored as
+    tuples.  Their sizes must add up to the rank n, and the combined
+    words must generate F: their wedge folds to the rose on the
+    alphabet.  That suffices.  F_n is Hopfian, so n words that generate it form a basis,
+    and any subset of a basis freely generates the subgroup it spans.
+    So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
+    The test reads the fold's vertex classes and builds no graph.  Each
     factor's subgroup and type graph are built on first use and kept;
     the caches take no part in equality, hashing or the repr.
     """
@@ -93,13 +91,27 @@ class FreeSplitting(object):
     alphabet: Alphabet
     basis_a: tuple[Word, ...]
     basis_b: tuple[Word, ...]
-    _certificate: object = field(default=None, init=False, repr=False)
     _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _type_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def verified(self) -> bool:
-        return self._certificate is _CERTIFIED
+    def __post_init__(self) -> None:
+        a, b, alphabet = tuple(self.basis_a), tuple(self.basis_b), self.alphabet
+        object.__setattr__(self, "basis_a", a)
+        object.__setattr__(self, "basis_b", b)
+        if not a or not b:
+            raise SplittingError("both factors must be proper: empty basis list")
+        for w in a + b:
+            if w.alphabet != alphabet:
+                raise AlphabetMismatchError("basis word over a different alphabet")
+            if w.is_trivial:
+                raise SplittingError("basis words must be nontrivial")
+        if len(a) + len(b) != alphabet.rank:
+            raise RankMismatchError(
+                "basis sizes %d + %d do not sum to the rank %d"
+                % (len(a), len(b), alphabet.rank)
+            )
+        if not _generates([w.codes for w in a + b], alphabet.rank):
+            raise DoesNotGenerateError("combined basis words do not generate F")
 
     @property
     def combined(self) -> tuple[Word, ...]:
@@ -156,39 +168,9 @@ def factor_index(tag: "int | str") -> int:
 def verify_splitting(
     basis_a: Sequence[Word], basis_b: Sequence[Word], alphabet: Alphabet
 ) -> FreeSplitting:
-    """Certify that the two word lists present a free splitting F = A * B.
-
-    The basis sizes must add up to the rank n, and the combined words
-    must generate F: their wedge folds to the rose on the alphabet.  That
-    suffices.  F_n is Hopfian, so n words that generate it form a basis,
-    and any subset of a basis freely generates the subgroup it spans.
-    So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
-    The test reads the fold's vertex classes and builds no graph; the
-    factor graphs are built when a decider first needs them.
-    """
-    a, b = tuple(basis_a), tuple(basis_b)
-    if not a or not b:
-        raise SplittingError("both factors must be proper: empty basis list")
-    for w in a + b:
-        if w.alphabet != alphabet:
-            raise AlphabetMismatchError("basis word over a different alphabet")
-        if w.is_trivial:
-            raise SplittingError("basis words must be nontrivial")
-    if len(a) + len(b) != alphabet.rank:
-        raise RankMismatchError(
-            "basis sizes %d + %d do not sum to the rank %d"
-            % (len(a), len(b), alphabet.rank)
-        )
-    if not _generates([w.codes for w in a + b], alphabet.rank):
-        raise DoesNotGenerateError("combined basis words do not generate F")
-    s = FreeSplitting(alphabet, a, b)
-    object.__setattr__(s, "_certificate", _CERTIFIED)
-    return s
-
-
-def _require_verified(s: FreeSplitting) -> None:
-    if not s.verified:
-        raise UnverifiedSplittingError("splitting was not certified")
+    """Certify that the two word lists present a free splitting F = A * B:
+    the FreeSplitting constructor runs the checks."""
+    return FreeSplitting(alphabet, basis_a, basis_b)
 
 
 def _require_same_alphabet(s1: FreeSplitting, s2: FreeSplitting) -> None:
@@ -209,8 +191,6 @@ def splittings_distance_two(
     product of their type graphs has a cycle; going once around the
     first cycle found yields the witness.
     """
-    _require_verified(s1)
-    _require_verified(s2)
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
         prod = product(s1._type_graph(i), s2._type_graph(j))
@@ -222,7 +202,6 @@ def splittings_distance_two(
 
 def word_elliptic(w: "Word | CyclicWord", s: FreeSplitting) -> bool:
     """Is some conjugate of w inside a factor of the splitting?"""
-    _require_verified(s)
     linear = w.as_word() if isinstance(w, CyclicWord) else w
     if linear.alphabet != s.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
@@ -273,7 +252,7 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
 @lru_cache(maxsize=256)
 def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]):
     # moves presenting the automorphism standard basis -> combined; the
-    # combined basis of a verified splitting needs no second fold
+    # combined basis of a certified splitting needs no second fold
     return tuple(_decompose_basis(combined, alphabet))
 
 
@@ -291,8 +270,6 @@ def primitive_in_intersection(
     is computed by the graph product, and any basis element of it is
     primitive because an intersection of free factors is a free factor.
     """
-    _require_verified(s1)
-    _require_verified(s2)
     _require_same_alphabet(s1, s2)
     alphabet = s1.alphabet
     i1, i2 = factor_index(factor1), factor_index(factor2)
@@ -318,8 +295,6 @@ def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     certificates make s2's combined basis, carried over s1, a basis, so
     it is decomposed without a second fold.
     """
-    _require_verified(s1)
-    _require_verified(s2)
     _require_same_alphabet(s1, s2)
     moves = _rebase_moves(s1.alphabet, s1.combined)
     over_s1 = tuple([moves_apply_word_inverse(moves, u) for u in s2.combined])

@@ -30,7 +30,8 @@ Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
 words store (see `freegroups.words`), so c ^ 1 inverts a letter and no
 step converts a word to Letter objects.  Enumerating automorphisms is
 exponential in the rank, so every enumeration checks its count against
-WHITEHEAD_BUDGET first.
+WHITEHEAD_BUDGET first, and so does the orbit closure before each
+relabeling class it adds.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -73,8 +74,8 @@ from .words import (
 # relabelings; rank 7 has 57,330 and 645,120.
 WHITEHEAD_BUDGET = 50_000
 
-# The most tuples one breadth-first Nielsen search may hold: the default
-# budget of the bidirectional search, and the bound on each plateau of
+# The most tuples one breadth-first Nielsen search may hold: the budget
+# of the bidirectional search, and the bound on each plateau of
 # equal total length in the reduction that backs it up.
 NIELSEN_BUDGET = 300_000
 
@@ -84,7 +85,8 @@ class NotABasisError(ValueError):
 
 
 class WhiteheadBudgetError(ValueError):
-    """The rank has more Whitehead automorphisms than WHITEHEAD_BUDGET."""
+    """The rank has more Whitehead automorphisms than WHITEHEAD_BUDGET, or
+    an orbit closure would compute more relabeling images."""
 
 
 class NielsenBudgetError(ValueError):
@@ -116,13 +118,6 @@ class Action(IntEnum):
     LEFT = 2
     CONJ = 3
 
-
-ACTION_NAMES = {
-    Action.KEEP: "keep",
-    Action.RIGHT: "right",
-    Action.LEFT: "left",
-    Action.CONJ: "conj",
-}
 
 # The image of each vertex code, indexed by that code.
 _Images = tuple[tuple[int, ...], ...]
@@ -226,10 +221,6 @@ class WhiteheadAut(object):
             raise ValueError("unknown action in %r" % (actions,))
         return cls(rank=rank, mult=mult, actions=actions)
 
-    @property
-    def is_relabeling(self) -> bool:
-        return self.images is not None
-
     def inverse(self) -> "WhiteheadAut":
         if self.images is not None:
             inv = [Letter(0, 1)] * self.rank
@@ -273,7 +264,7 @@ class WhiteheadAut(object):
             return "perm " + " ".join(parts)
         assert self.mult is not None and self.actions is not None
         parts = [
-            "%s:%s" % (alphabet.symbols[g], ACTION_NAMES[Action(a)])
+            "%s:%s" % (alphabet.symbols[g], Action(a).name.lower())
             for g, a in enumerate(self.actions)
             if g != self.mult.gen
         ]
@@ -510,6 +501,10 @@ def equal_length_orbit(
     found so far brings in its whole class.  The search runs on code
     words in least rotation; each member becomes a CyclicWord tuple
     once, at the end, without a second rotation.
+
+    Each class costs n!·2ⁿ relabeling images, so a closure may add
+    classes only while their images total at most WHITEHEAD_BUDGET;
+    WhiteheadBudgetError is raised before a class would pass it.
     """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
@@ -519,6 +514,7 @@ def equal_length_orbit(
     relabelings = [_relabeling_images(codes) for codes in _signed_permutations(rank)]
     orbit: set[tuple] = set()
     queue: deque[tuple] = deque()
+    computed = 0
 
     def image(images: _Images, member: tuple) -> tuple:
         out = tuple([_cyclic_image(images, w) for w in member])
@@ -526,6 +522,13 @@ def equal_length_orbit(
         return out
 
     def add_class(member: tuple) -> None:
+        nonlocal computed
+        computed += len(relabelings)
+        if computed > WHITEHEAD_BUDGET:
+            raise WhiteheadBudgetError(
+                "the orbit closure needs at least %d relabeling images, over the budget of %d"
+                % (computed, WHITEHEAD_BUDGET)
+            )
         orbit.update(image(r, member) for r in relabelings)
         queue.append(member)
 
@@ -695,12 +698,6 @@ def moves_apply_word_inverse(
     return w
 
 
-def _is_basis(target: Sequence[Word], alphabet: Alphabet) -> bool:
-    # n words generate F(X) iff their Stallings graph is the full rose;
-    # since free groups are Hopfian, generation by n words makes a basis.
-    return _generates([w.codes for w in target], alphabet.rank)
-
-
 # A state of the Nielsen search: the tuple's words as vertex codes.
 _State = tuple[tuple[int, ...], ...]
 
@@ -846,12 +843,10 @@ def _reduction_moves(target: _State) -> list[NielsenTransformation]:
     return back[::-1]
 
 
-def nielsen_decompose(
-    target: Sequence[Word], alphabet: Alphabet, node_budget: int = NIELSEN_BUDGET
-) -> list[NielsenTransformation]:
+def nielsen_decompose(target: Sequence[Word], alphabet: Alphabet) -> list[NielsenTransformation]:
     """An elementary move sequence carrying the standard basis to the
     target tuple, exactly and in order: the shortest one when the
-    bidirectional search finds it within `node_budget` states, else a
+    bidirectional search finds it within NIELSEN_BUDGET states, else a
     complete Nielsen reduction whose move list may be longer.
 
     Raises NotABasisError when the words do not form a basis, and
@@ -867,19 +862,18 @@ def nielsen_decompose(
             raise AlphabetMismatchError("basis word over a different alphabet")
         if w.is_trivial:
             raise NotABasisError("a basis cannot contain the trivial word")
-    if not _is_basis(words, alphabet):
+    # n words that generate F form a basis: free groups are Hopfian.
+    if not _generates([w.codes for w in words], alphabet.rank):
         raise NotABasisError("words do not generate the whole group")
-    return _decompose_basis(words, alphabet, node_budget)
+    return _decompose_basis(words, alphabet)
 
 
-def _decompose_basis(
-    words: tuple[Word, ...], alphabet: Alphabet, node_budget: int = NIELSEN_BUDGET
-) -> list[NielsenTransformation]:
+def _decompose_basis(words: tuple[Word, ...], alphabet: Alphabet) -> list[NielsenTransformation]:
     """nielsen_decompose for words already certified to form a basis of
-    the alphabet's rank, such as the combined basis of a verified
+    the alphabet's rank, such as the combined basis of a certified
     splitting: no fold re-checks them, but the replay check still runs."""
     target = tuple([w.codes for w in words])
-    moves = _bidirectional_search(target, alphabet.rank, node_budget)
+    moves = _bidirectional_search(target, alphabet.rank, NIELSEN_BUDGET)
     if moves is None:
         moves = _reduction_moves(target)
     if apply_nielsen(moves, alphabet) != words:

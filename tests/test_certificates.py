@@ -52,7 +52,7 @@ whitehead.apply_nielsen = real_apply
 # so a non-basis passed as certified must not be reduced silently.
 expect_certificate_error(
     "nielsen_reduction",
-    lambda: whitehead._decompose_basis((parse_word("aa", A2), parse_word("b", A2)), A2, 0),
+    lambda: whitehead._reduction_moves((parse_word("aa", A2).codes, parse_word("b", A2).codes)),
 )
 
 # Whitehead-graph scoring: every applied move must give the predicted length.
@@ -72,6 +72,14 @@ stallings._quotient = lambda rank, leader, edges, base: real_quotient(rank, lead
 expect_certificate_error(
     "build_subgroup", lambda: stallings.build_subgroup([parse_word("ab", A2)], A2)
 )
+
+# A splitting certifies itself at construction.
+try:
+    ellipticity.FreeSplitting(A2, (parse_word("ab", A2),), (parse_word("ab", A2),))
+except ellipticity.DoesNotGenerateError as e:
+    print("FreeSplitting raised:", e)
+else:
+    print("FreeSplitting passed silently")
 """
 
 
@@ -95,4 +103,5 @@ def test_certificate_checks_survive_optimized_mode():
         "minimize_tuple raised",
         "equal_length_orbit raised",
         "build_subgroup raised",
+        "FreeSplitting raised: combined basis words do not generate F",
     ]

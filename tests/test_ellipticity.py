@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
@@ -12,7 +14,6 @@ from freegroups.ellipticity import (
     RankMismatchError,
     SplittingError,
     TrivialIntersectionError,
-    UnverifiedSplittingError,
     nielsen_bound,
     primitive_in_intersection,
     splittings_distance_two,
@@ -88,9 +89,10 @@ def random_moves(rng, rank, count):
 class TestVerify:
     def test_examples(self):
         s = split("a | b")
-        assert s.verified
+        listed = FreeSplitting(A2, [parse_word("a", A2)], [parse_word("b", A2)])
+        assert s == listed and hash(s) == hash(listed) and listed.combined == s.combined
         assert str(s) == "split a | b"
-        assert split("ab | b").verified
+        assert str(split("ab | b")) == "split ab | b"
 
     def test_does_not_generate(self):
         with pytest.raises(DoesNotGenerateError):
@@ -111,11 +113,22 @@ class TestVerify:
             split("a | 1")
 
     def test_unverified_rejected(self):
-        bare = FreeSplitting(A2, (parse_word("a", A2),), (parse_word("b", A2),))
-        with pytest.raises(UnverifiedSplittingError):
-            splittings_distance_two(bare, bare)
-        with pytest.raises(UnverifiedSplittingError):
-            nielsen_bound(bare, bare)
+        # Construction is the certification: building a non-splitting
+        # directly raises what verify_splitting raises, with its message.
+        a, b, ab = (parse_word(t, A2) for t in ("a", "b", "ab"))
+        c = parse_word("c", A3)
+        cases = [
+            (((a,), ()), SplittingError, "both factors must be proper: empty basis list"),
+            (((a,), (c,)), AlphabetMismatchError, "basis word over a different alphabet"),
+            (((a,), (parse_word("1", A2),)), SplittingError, "basis words must be nontrivial"),
+            (((a, b), (ab,)), RankMismatchError, "basis sizes 2 + 1 do not sum to the rank 2"),
+            (((ab,), (ab,)), DoesNotGenerateError, "combined basis words do not generate F"),
+        ]
+        for (basis_a, basis_b), error, message in cases:
+            for make in (FreeSplitting, lambda al, x, y: verify_splitting(x, y, al)):
+                with pytest.raises(error) as caught:
+                    make(A2, basis_a, basis_b)
+                assert type(caught.value) is error and str(caught.value) == message
 
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
@@ -126,7 +139,8 @@ class TestVerify:
         built = []
         original = XDigraph.__post_init__
         monkeypatch.setattr(XDigraph, "__post_init__", lambda g: built.append(g) or original(g))
-        assert split("ab | b").verified and split("ac b | Cb", A3).verified
+        split("ab | b")
+        split("ac b | Cb", A3)
         with pytest.raises(DoesNotGenerateError):
             split("ab | ba")
         assert built == []
@@ -468,7 +482,7 @@ class TestNielsenBound:
             raise AssertionError("nielsen_bound folded a certified basis again")
 
         # Every fold, and so every generation test, runs the one kernel.
-        monkeypatch.setattr(whitehead, "_is_basis", refold)
+        monkeypatch.setattr(whitehead, "_generates", refold)
         monkeypatch.setattr(stallings, "_fold_classes", refold)
         assert [nielsen_bound(s1, s2) for s1, s2 in pairs] == expected
         # Both hooks are live: a decomposition and a verification do fold.
@@ -487,32 +501,39 @@ class TestNielsenBound:
 
 
 class TestForgedSplittings:
-    def test_forged_splittings_are_refused_by_every_decider(self):
+    def test_forged_splittings_cannot_be_built(self):
         real = split("ab | b")
         a, b = parse_word("a", A2), parse_word("b", A2)
+        # No field but the alphabet and the two bases can be passed.
         with pytest.raises(TypeError):
             FreeSplitting(A2, (a,), (b,), verified=True)
-        with pytest.raises(TypeError):
-            FreeSplitting(A2, (a,), (b,), _certificate=real._certificate)
-        forged = (
-            FreeSplitting(A2, (a,), (b,)),
-            dataclasses.replace(real, basis_a=(a,)),
-            dataclasses.replace(real),
-        )
-        for fake in forged:
-            assert not fake.verified
-            calls = (
-                lambda: splittings_distance_two(fake, real),
-                lambda: splittings_distance_two(real, fake),
-                lambda: word_elliptic(a, fake),
-                lambda: primitive_in_intersection(fake, "A", real, "B"),
-                lambda: primitive_in_intersection(real, "A", fake, "B"),
-                lambda: nielsen_bound(fake, real),
-                lambda: nielsen_bound(real, fake),
-            )
-            for call in calls:
-                with pytest.raises(UnverifiedSplittingError):
-                    call()
+        # dataclasses.replace constructs, so it certifies again.
+        with pytest.raises(DoesNotGenerateError):
+            dataclasses.replace(real, basis_a=(b,))
+        with pytest.raises(RankMismatchError):
+            dataclasses.replace(real, basis_a=(a, b))
+        assert dataclasses.replace(real, basis_a=(a,)) == split("a | b")
+        assert dataclasses.replace(real) == real
+
+    def test_copies_stay_certified(self):
+        # A copy or a pickle round trip of a certified splitting equals
+        # it and is accepted by every decider.
+        real, other = split("ab | b"), split("a | b")
+        real._type_graph(0)  # copies carry the factor caches along
+        expected = [
+            (splittings_distance_two(s1, s2), primitive_in_intersection(s1, "B", s2, "B"),
+             nielsen_bound(s1, s2))
+            for s1, s2 in ((real, other), (other, real))
+        ]
+        for twin in (copy.copy(real), copy.deepcopy(real), pickle.loads(pickle.dumps(real))):
+            assert twin == real and hash(twin) == hash(real)
+            assert word_elliptic(parse_word("ab", A2), twin)
+            got = [
+                (splittings_distance_two(s1, s2), primitive_in_intersection(s1, "B", s2, "B"),
+                 nielsen_bound(s1, s2))
+                for s1, s2 in ((twin, other), (other, twin))
+            ]
+            assert got == expected
 
 
 class TestAnswerType:

@@ -35,6 +35,7 @@ from freegroups.whitehead import (
     _length_changes,
     _multiplier,
     _multiplier_cuts,
+    _reduction_moves,
     _whitehead_graph,
 )
 from freegroups.words import (
@@ -516,6 +517,29 @@ class TestBudgets:
         assert run(["primitive", "-n", "2", "ab"]) == (2, "", message)
         assert run(["orbit", "-n", "2", "ab"]) == (2, "", message)
 
+    def test_orbit_closure_checks_the_budget(self, monkeypatch):
+        # aabbcc's closure holds 9 relabeling classes of 3!·2³ = 48 images.
+        assert run(["orbit", "-n", "3", "aabbcc"])[0] == 0
+        monkeypatch.setattr(whitehead, "WHITEHEAD_BUDGET", 431)
+        message = (
+            "error: the orbit closure needs at least 432 relabeling images,"
+            " over the budget of 431\n"
+        )
+        assert run(["orbit", "-n", "3", "aabbcc"]) == (2, "", message)
+        with pytest.raises(WhiteheadBudgetError, match="orbit closure"):
+            same_orbit((cyc("aabbcc", A3),), (cyc("aacbbc", A3),))
+
+    def test_orbit_closure_stops_at_the_default_budget(self):
+        # Each rank-5 class costs 5!·2⁵ = 3,840 images; the fourteenth
+        # passes 50,000, long before the closure would fill memory.
+        message = (
+            "error: the orbit closure needs at least 53760 relabeling images,"
+            " over the budget of 50000\n"
+        )
+        assert run(["orbit", "-n", "5", "aabbccddee"]) == (2, "", message)
+        code, out, _ = run(["orbit", "-n", "4", "aabbccdd"])
+        assert code == 0 and len(out.splitlines()) == 23_424
+
 
 class TestOrbits:
     def test_large_rank_writes_no_warning(self):
@@ -662,14 +686,14 @@ class TestNielsen:
         alphabet = Alphabet.of_rank(rank)
         build = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=25))
         target = apply_nielsen(build, alphabet)
-        moves = nielsen_decompose(list(target), alphabet, node_budget=0)
+        moves = _reduction_moves(tuple(w.codes for w in target))
         assert apply_nielsen(moves, alphabet) == target
 
     def test_reduction_crosses_equal_length_plateaus(self):
         # No entry gets shorter by multiplying it by another on either
         # side, so only length-preserving moves lead on.
         target = tuple(parse_word(t, A3) for t in ("BA", "Acb", "cA"))
-        moves = nielsen_decompose(list(target), A3, node_budget=0)
+        moves = _reduction_moves(tuple(w.codes for w in target))
         assert apply_nielsen(moves, A3) == target
 
     def test_moves_reject_bad_entries(self):

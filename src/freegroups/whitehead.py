@@ -36,19 +36,29 @@ relabeling class it adds.
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
 tuple is decomposed into the shortest such move sequence when a
-budgeted search finds it, and by Nielsen reduction otherwise.
+budgeted search finds it, and by Nielsen reduction otherwise.  Both
+hold a basis as a tuple of `bytes` words of vertex codes, converted
+once at entry: a word inverts in C (reversed, then translated by
+c -> c ^ 1), and a product is a plain concatenation unless its junction
+cancels.  bytes holds the codes of ranks up to 128; above that the
+words are tuples, under the same loops.  The search's forward half,
+the breadth-first ball around the standard basis, depends on the rank
+alone, so one ball per rank is grown on demand and shared by every
+search; after each search it is cut back, whole top layers at a time,
+to NIELSEN_BUDGET // 10 states.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .stallings import CertificateError, _generates
 from .words import (
@@ -508,9 +518,15 @@ def equal_length_orbit(
     """
     start = tuple(ws)
     alphabet = _common_alphabet(start)
-    rank = alphabet.rank
+    orbit = _orbit_codes(tuple([w.codes for w in start]), alphabet.rank)
+    return {tuple([CyclicWord._of(alphabet, w, rotate=False) for w in member]) for member in orbit}
+
+
+def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tuple]:
+    """equal_length_orbit on code words in least rotation.  Stops as soon
+    as a class brings in `goal`, returning the closure found so far."""
     _check_relabelings(rank)
-    target = total_length(start)
+    target = sum(map(len, start))
     relabelings = [_relabeling_images(codes) for codes in _signed_permutations(rank)]
     orbit: set[tuple] = set()
     queue: deque[tuple] = deque()
@@ -532,29 +548,34 @@ def equal_length_orbit(
         orbit.update(image(r, member) for r in relabelings)
         queue.append(member)
 
-    add_class(tuple([w.codes for w in start]))
-    while queue:
+    add_class(start)
+    while queue and goal not in orbit:
         current = queue.popleft()
         for m, code, change in _length_changes(current, rank, 0):
             if change == 0:
                 reached = image(_multiplier_images(m, _actions(rank, m >> 1, code)), current)
                 if reached not in orbit:
                     add_class(reached)
-    return {tuple([CyclicWord._of(alphabet, w, rotate=False) for w in member]) for member in orbit}
+                    if goal in orbit:
+                        break
+    return orbit
 
 
 def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
-    """Are the two tuples related by an automorphism (entrywise, in order)?"""
+    """Are the two tuples related by an automorphism (entrywise, in order)?
+    The orbit closure stops as soon as it meets the second tuple."""
     us, vs = tuple(us), tuple(vs)
     if len(us) != len(vs):
         raise ValueError("tuple lengths differ: %d vs %d" % (len(us), len(vs)))
-    if _common_alphabet(us) != _common_alphabet(vs):
+    alphabet = _common_alphabet(us)
+    if alphabet != _common_alphabet(vs):
         raise AlphabetMismatchError("tuples over different alphabets")
     mu, _ = minimize_tuple(us)
     mv, _ = minimize_tuple(vs)
     if total_length(mu) != total_length(mv):
         return False
-    return mv in equal_length_orbit(mu)
+    goal = tuple([w.codes for w in mv])
+    return goal in _orbit_codes(tuple([w.codes for w in mu]), alphabet.rank, goal)
 
 
 def is_primitive(w: Word) -> bool:
@@ -698,8 +719,25 @@ def moves_apply_word_inverse(
     return w
 
 
-# A state of the Nielsen search: the tuple's words as vertex codes.
-_State = tuple[tuple[int, ...], ...]
+# A state of the Nielsen search: a basis, as a tuple of its words'
+# vertex codes.  Each word is a `bytes` object, which hashes once and
+# inverts in C: reversed, then translated by _FLIP (c -> c ^ 1).  bytes
+# holds codes below 256, so ranks up to 128; above that each word is a
+# tuple, inverted by `_inverse`.  `_word_ops` picks the container once
+# per rank, and every loop serves both.  A state's words are reduced and
+# nonempty, since it is a basis.
+_State = tuple[Sequence[int], ...]
+
+_FLIP = bytes([c ^ 1 for c in range(256)])
+
+
+def _flip(w: bytes) -> bytes:
+    return w[::-1].translate(_FLIP)
+
+
+def _word_ops(rank: int) -> tuple[type, Callable]:
+    """The container of the words of a rank's states, and its inversion."""
+    return (bytes, _flip) if rank <= 128 else (tuple, _inverse)
 
 
 def _elementary_moves(rank: int) -> list[NielsenTransformation]:
@@ -713,7 +751,36 @@ def _elementary_moves(rank: int) -> list[NielsenTransformation]:
     return moves
 
 
+# Each elementary move with its target and source entries.
+_Moves = list[tuple[NielsenTransformation, int, "int | None"]]
+
+
+def _successors(
+    state: _State, moves: _Moves, invert: Callable, forward: bool
+) -> list[tuple[_State, NielsenTransformation]]:
+    """(new state, move) for each move in order: the move applied to the
+    state, or, walking backward, the state the move carries to it.  The
+    words are inverted once and shared among the moves: an inversion
+    takes the inverse, and rmul(i, j) undone multiplies by the inverse
+    of entry j.  Both factors are reduced and nonempty, so a product is
+    a plain concatenation unless its junction cancels."""
+    inverses = [invert(w) for w in state]
+    tails = state if forward else inverses
+    out = []
+    for move, i, j in moves:
+        if j is None:
+            word = inverses[i]
+        else:
+            u, v = state[i], tails[j]
+            word = u + v if u[-1] ^ v[0] != 1 else _join(u, v)
+        out.append((state[:i] + (word,) + state[i + 1 :], move))
+    return out
+
+
 # A search's parent links: state -> (next state toward the root, move).
+# The backward side of a search and the reduction keep theirs here; the
+# forward side's live in the rank's shared `_Ball`, with their depths,
+# and are cut back to NIELSEN_BUDGET // 10 states after each search.
 _Parents = dict[_State, tuple[_State, NielsenTransformation] | None]
 
 
@@ -727,6 +794,69 @@ def _path(parents: _Parents, state: _State) -> list[NielsenTransformation]:
     return path
 
 
+class _Ball(object):
+    """The forward half of every Nielsen search of one rank: the
+    breadth-first layers around the standard basis, grown on demand.
+    It depends on the rank alone, so searches share it.
+
+    `links` maps each state to (depth, parent, move), the parent link of
+    a one-sided search from the standard basis; `sizes[d]` counts the
+    states of depth at most d.  A search holds `lock` throughout, since
+    searches grow and trim the ball."""
+
+    def __init__(self, rank: int) -> None:
+        self.pack, self.invert = _word_ops(rank)
+        self.moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
+        self.std: _State = tuple([self.pack((2 * g,)) for g in range(rank)])
+        self.links: dict[_State, tuple[int, _State | None, NielsenTransformation | None]] = {
+            self.std: (0, None, None)
+        }
+        self.layers: list[list[_State]] = [[self.std]]
+        self.sizes = [1]
+        self.lock = threading.Lock()
+
+    def layer(self, depth: int) -> list[_State]:
+        """The states of this depth, growing the ball by one layer when
+        it is the first missing one."""
+        if depth == len(self.layers):
+            links, fresh = self.links, []
+            try:
+                for state in self.layers[-1]:
+                    for new, move in _successors(state, self.moves, self.invert, True):
+                        if new not in links:
+                            links[new] = (depth, state, move)
+                            fresh.append(new)
+            except BaseException:
+                # An interrupted layer would be taken as complete later.
+                for state in fresh:
+                    del links[state]
+                raise
+            self.layers.append(fresh)
+            self.sizes.append(self.sizes[-1] + len(fresh))
+        return self.layers[depth]
+
+    def path(self, state: _State) -> list[NielsenTransformation]:
+        """The moves carrying the standard basis to a state of the ball."""
+        path: list[NielsenTransformation] = []
+        _, parent, move = self.links[state]
+        while parent is not None:
+            path.append(move)  # type: ignore[arg-type]
+            _, parent, move = self.links[parent]
+        return path[::-1]
+
+    def trim(self, limit: int) -> None:
+        """Drop whole top layers while more than `limit` states remain."""
+        while len(self.layers) > 1 and self.sizes[-1] > limit:
+            for state in self.layers.pop():
+                del self.links[state]
+            self.sizes.pop()
+
+
+@lru_cache(maxsize=None)
+def _ball(rank: int) -> _Ball:
+    return _Ball(rank)
+
+
 def _bidirectional_search(
     target: _State, rank: int, node_budget: int
 ) -> list[NielsenTransformation] | None:
@@ -734,57 +864,60 @@ def _bidirectional_search(
     target, by bidirectional breadth-first search.  None if the budget
     runs out (the caller falls back to `_reduction_moves`).
 
-    States are tuples of the words' vertex codes.  Both factors of a
-    right-multiplication are reduced, so its product is a junction
-    join.  Each expansion inverts the state's words once and shares them
-    among its moves: an inversion move takes the inverse, and the
-    backward side, which walks moves in reverse, multiplies by it.  The
-    codes are a bijection with the words, so the search visits the
-    states of a letter-keyed search in the same order.
+    The forward side is the rank's shared `_Ball`: stepping forward reads
+    its next layer, and a backward state meets the forward side when its
+    depth in the ball is at most the forward depth.  Only the backward
+    side is expanded here.  So every search visits the states of a
+    search that expands both sides, in the same order, with the same
+    budget check, and returns the same moves.  On return the ball is
+    trimmed to NIELSEN_BUDGET // 10 states, so a search that ran long
+    does not leave its forward half resident.
     """
-    std: _State = tuple((2 * g,) for g in range(rank))
-    if target == std:
+    ball = _ball(rank)
+    target = tuple([ball.pack(w) for w in target])
+    if target == ball.std:
         return []
-    moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
-    # Moves point toward the target on both sides: forward links lead
-    # back to the standard basis, backward links on to the target.
-    parents_f: _Parents = {std: None}
+    links, sizes = ball.links, ball.sizes
+    # Backward links lead on to the target.
     parents_b: _Parents = {target: None}
-    frontier_f, frontier_b = [std], [target]
-    while frontier_f and frontier_b:
-        if len(parents_f) + len(parents_b) > node_budget:
+    frontier_b = [target]
+    depth = 0
+    with ball.lock:
+        try:
+            frontier_f = ball.layer(0)
+            while frontier_f and frontier_b:
+                if sizes[depth] + len(parents_b) > node_budget:
+                    return None
+                if len(frontier_f) <= len(frontier_b):
+                    depth += 1
+                    frontier_f = ball.layer(depth)
+                    meets = [s for s in frontier_f if s in parents_b]
+                    key = lambda m: len(_path(parents_b, m))
+                else:
+                    fresh: list[_State] = []
+                    meets = []
+                    for state in frontier_b:
+                        for new, move in _successors(state, ball.moves, ball.invert, False):
+                            if new in parents_b:
+                                continue
+                            parents_b[new] = (state, move)
+                            fresh.append(new)
+                            link = links.get(new)
+                            if link is not None and link[0] <= depth:
+                                meets.append(new)
+                    frontier_b = fresh
+                    key = lambda m: links[m][0]
+                if meets:
+                    # Meets in one batch share their depth on the expanded
+                    # side but not on the other; the shortest total wins.
+                    best = min(meets, key=key)
+                    return ball.path(best) + _path(parents_b, best)
             return None
-        forward = len(frontier_f) <= len(frontier_b)
-        frontier = frontier_f if forward else frontier_b
-        parents = parents_f if forward else parents_b
-        other = parents_b if forward else parents_f
-        fresh: list[_State] = []
-        meets: list[_State] = []
-        for state in frontier:
-            inverses = tuple([_inverse(w) for w in state])
-            tails = state if forward else inverses
-            for move, i, j in moves:
-                word = inverses[i] if j is None else _join(state[i], tails[j])
-                new = state[:i] + (word,) + state[i + 1 :]
-                if new in parents:
-                    continue
-                parents[new] = (state, move)
-                fresh.append(new)
-                if new in other:
-                    meets.append(new)
-        if meets:
-            # Meets in one batch share their depth on the expanded side but
-            # not on the other; the shortest total wins.
-            best = min(meets, key=lambda m: len(_path(other, m)))
-            return _path(parents_f, best)[::-1] + _path(parents_b, best)
-        if forward:
-            frontier_f = fresh
-        else:
-            frontier_b = fresh
-    return None
+        finally:
+            ball.trim(NIELSEN_BUDGET // 10)
 
 
-def _reduction_moves(target: _State) -> list[NielsenTransformation]:
+def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformation]:
     """Elementary moves carrying the standard basis to a basis, by
     Nielsen reduction walking back from it (Lyndon-Schupp, Combinatorial
     Group Theory, I.2): complete, but not always shortest.
@@ -797,30 +930,28 @@ def _reduction_moves(target: _State) -> list[NielsenTransformation]:
     explicit swaps and inversions undo the signed permutation left.
     Read backwards, the moves recorded run forward from the standard
     basis.  Raises NielsenBudgetError past NIELSEN_BUDGET tuples of one
-    total length, and CertificateError when no shorter tuple is met,
-    which a basis never allows.
+    total length, and CertificateError when no shorter tuple is met or a
+    shorter one holds the trivial word, which a basis never allows.
     """
     rank = len(target)
-    moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
+    pack, invert = _word_ops(rank)
+    moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
     back: list[NielsenTransformation] = []
-    state, length = target, sum(map(len, target))
+    state, length = tuple([pack(w) for w in target]), sum(map(len, target))
     parents: _Parents = {state: None}
     queue = deque([state])
     while length > rank:
         if not queue:
             raise CertificateError("Nielsen reduction met no tuple shorter than %d" % length)
         current = queue.popleft()
-        inverses = tuple([_inverse(w) for w in current])
-        for move, i, j in moves:
-            # The move carries `new` to `current`: rmul(i, j) undone is a
-            # right-multiplication by the inverse of entry j.
-            word = inverses[i] if j is None else _join(current[i], inverses[j])
-            new = current[:i] + (word,) + current[i + 1 :]
+        for new, move in _successors(current, moves, invert, False):
             size = sum(map(len, new))
             if size > length or new in parents:
                 continue
             parents[new] = (current, move)
             if size < length:
+                if not all(new):
+                    raise CertificateError("Nielsen reduction met the trivial word")
                 back.extend(reversed(_path(parents, new)))
                 state, length = new, size
                 parents, queue = {new: None}, deque([new])

@@ -3,10 +3,15 @@ rotation, the code kernel that applies Whitehead automorphisms, the
 Nielsen search, the parser and the code-backed words returns exactly
 what the code it replaced returns (the oracles in `kernel_oracles.py`)."""
 
+import random
+import sys
+import threading
+
 import kernel_oracles as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freegroups import whitehead
 from freegroups.cli import run
 from freegroups.stallings import (
     NotFoldedError,
@@ -25,6 +30,8 @@ from freegroups.stallings import (
     type_graph,
 )
 from freegroups.whitehead import (
+    NielsenTransformation,
+    _ball,
     _bidirectional_search,
     _elementary_moves,
     _cyclic_image,
@@ -376,7 +383,7 @@ class TestMultiplierKernel:
 @st.composite
 def nielsen_targets(draw):
     """A basis reached from the standard one by 0-10 random moves."""
-    rank = draw(st.sampled_from((2, 3)))
+    rank = draw(st.sampled_from((2, 3, 4)))
     alphabet = Alphabet.of_rank(rank)
     moves = draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=10))
     return rank, apply_nielsen(moves, alphabet)
@@ -406,6 +413,101 @@ class TestNielsenSearch:
         found = _bidirectional_search(tuple(w.codes for w in words), rank, budget)
         assert (found is None) == (expected is None)
         assert found == expected
+
+    # A rank-3 basis whose search runs out of a budget of 100,000 states.
+    DEEP = ("abcabcbAc", "bcaBc", "cAbbc")
+
+    @staticmethod
+    def random_targets(seed, count):
+        """(rank, basis) pairs at ranks 2-4, each 0-12 random moves out."""
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            rank = rng.choice((2, 3, 4))
+            moves = _elementary_moves(rank)
+            out.append((rank, apply_nielsen(rng.choices(moves, k=rng.randint(0, 12)), Alphabet.of_rank(rank))))
+        return out
+
+    def test_a_warm_or_trimmed_ball_changes_nothing(self):
+        # The deep search runs out of budget after growing the rank-3
+        # ball past its trim limit, so the searches after it read a warm
+        # ball and regrow the layers the trim dropped.
+        _ball.cache_clear()
+        deep = tuple(parse_word(t, Alphabet.of_rank(3)).codes for t in self.DEEP)
+        assert _bidirectional_search(deep, 3, 100_000) is None
+        ball = _ball(3)
+        assert ball.sizes[-1] == len(ball.links) <= whitehead.NIELSEN_BUDGET // 10
+        for budget in (0, 7, 300, self.BUDGET):
+            for rank, words in self.random_targets(budget, 12):
+                expected = oracle.bidirectional_search(pair_key(words), rank, budget)
+                assert _bidirectional_search(tuple(w.codes for w in words), rank, budget) == expected
+
+    def test_an_interrupted_layer_is_dropped(self, monkeypatch):
+        # Growing layer 2 of the rank-3 ball fails after three of the
+        # nine states of layer 1 have been expanded.
+        _ball.cache_clear()
+        cases = self.random_targets(4, 8)
+        real, grown = whitehead._successors, []
+
+        def failing(state, moves, invert, forward):
+            if forward:
+                grown.append(state)
+            if len(grown) > 1 + 3:
+                raise RuntimeError("interrupted")
+            return real(state, moves, invert, forward)
+
+        monkeypatch.setattr(whitehead, "_successors", failing)
+        deep = tuple(parse_word(t, Alphabet.of_rank(3)).codes for t in self.DEEP)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _bidirectional_search(deep, 3, self.BUDGET)
+        monkeypatch.setattr(whitehead, "_successors", real)
+        assert len(_ball(3).links) == _ball(3).sizes[-1] == 10
+        for rank, words in cases:
+            expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
+            assert _bidirectional_search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
+
+    @pytest.mark.parametrize("move", [
+        NielsenTransformation.invert(128),
+        NielsenTransformation.right_multiply(128, 0),
+        NielsenTransformation.right_multiply(3, 128),
+    ])
+    def test_rank_129_states_hold_tuples(self, move):
+        # Codes 256 and 257 do not fit a byte, so these states are tuples.
+        alphabet = Alphabet.of_rank(129)
+        words = apply_nielsen([move], alphabet)
+        expected = oracle.bidirectional_search(pair_key(words), 129, self.BUDGET)
+        try:
+            assert _bidirectional_search(tuple(w.codes for w in words), 129, self.BUDGET) == expected == [move]
+            assert isinstance(_ball(129).std[0], tuple)
+        finally:
+            _ball.cache_clear()
+
+    def test_concurrent_searches_share_the_ball(self, monkeypatch):
+        # A trim limit of 100 states makes most searches trim the layers
+        # that the others read or grow.
+        monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 1_000)
+        cases = [(rank, tuple(w.codes for w in words), oracle.bidirectional_search(pair_key(words), rank, self.BUDGET))
+                 for rank, words in self.random_targets(3, 16)]
+        _ball.cache_clear()
+        found = {}
+
+        def search(k):
+            for i in list(range(k, len(cases))) + list(range(k)):
+                rank, target, _ = cases[i]
+                found[k, i] = _bidirectional_search(target, rank, self.BUDGET)
+
+        threads = [threading.Thread(target=search, args=(k,)) for k in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert found == {(k, i): e for k in range(6) for i, (_, _, e) in enumerate(cases)}
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

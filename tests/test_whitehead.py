@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from freegroups import whitehead
 from freegroups.cli import run
+from freegroups.stallings import CertificateError
 from freegroups.whitehead import (
     WHITEHEAD_BUDGET,
     Action,
@@ -526,8 +527,18 @@ class TestBudgets:
             " over the budget of 431\n"
         )
         assert run(["orbit", "-n", "3", "aabbcc"]) == (2, "", message)
+        # aaabbb is minimal and outside the orbit, so same_orbit needs
+        # the whole closure; aacbbc is in one of its first eight classes.
         with pytest.raises(WhiteheadBudgetError, match="orbit closure"):
-            same_orbit((cyc("aabbcc", A3),), (cyc("aacbbc", A3),))
+            same_orbit((cyc("aabbcc", A3),), (cyc("aaabbb", A3),))
+        assert same_orbit((cyc("aabbcc", A3),), (cyc("aacbbc", A3),))
+
+    def test_same_orbit_stops_at_a_match(self):
+        # bbaaccddee relabels aabbccddee, so the closure's first class
+        # holds it; the whole closure passes the budget in its 14th.
+        a5 = Alphabet.of_rank(5)
+        assert same_orbit((cyc("aabbccddee", a5),), (cyc("bbaaccddee", a5),))
+        assert same_orbit((cyc("aabbccddee", a5),), (cyc("eeDDccbbaa", a5),))
 
     def test_orbit_closure_stops_at_the_default_budget(self):
         # Each rank-5 class costs 5!·2⁵ = 3,840 images; the fourteenth
@@ -695,6 +706,14 @@ class TestNielsen:
         target = tuple(parse_word(t, A3) for t in ("BA", "Acb", "cA"))
         moves = _reduction_moves(tuple(w.codes for w in target))
         assert apply_nielsen(moves, A3) == target
+
+    def test_reduction_refuses_a_tuple_that_reaches_the_trivial_word(self):
+        # ab * (ab)^-1 is trivial: the last tuple with a letter left over,
+        # and the first with a word still to reduce.
+        for texts, alphabet in ((("ab", "ab"), A2), (("abc", "abc", "c"), A3)):
+            target = tuple(parse_word(t, alphabet).codes for t in texts)
+            with pytest.raises(CertificateError, match="trivial word"):
+                _reduction_moves(target)
 
     def test_moves_reject_bad_entries(self):
         for make in (lambda: rmul(1, -1), lambda: rmul(-1, 0), lambda: rmul(1, 1), lambda: inv(-1)):

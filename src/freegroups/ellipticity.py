@@ -17,7 +17,7 @@ splitting distance, where m counts elementary moves relating the bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -84,20 +84,21 @@ class FreeSplitting(object):
     and any subset of a basis freely generates the subgroup it spans.
     So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
     The test reads the fold's vertex classes and builds no graph.  Each
-    factor's subgroup and type graph are built on first use and kept;
-    the caches take no part in equality, hashing or the repr.
+    factor's subgroup and type graph are built on first use and kept
+    in caches that are not fields, so they take no part in equality,
+    hashing, the repr, asdict or astuple.
     """
 
     alphabet: Alphabet
     basis_a: tuple[Word, ...]
     basis_b: tuple[Word, ...]
-    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _type_graphs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         a, b, alphabet = tuple(self.basis_a), tuple(self.basis_b), self.alphabet
         object.__setattr__(self, "basis_a", a)
         object.__setattr__(self, "basis_b", b)
+        object.__setattr__(self, "_factors", {})
+        object.__setattr__(self, "_type_graphs", {})
         if not a or not b:
             raise SplittingError("both factors must be proper: empty basis list")
         for w in a + b:

@@ -482,6 +482,10 @@ def digraph_isomorphic(
         g._check_vertex(bases[0], "base")
         h._check_vertex(bases[1], "base")
     for graph in (g, h):
+        # More vertices than edges + 1 cannot be connected; this check
+        # comes first, so a bare vertex count builds no per-vertex tables.
+        if graph.vertex_count > len(graph.edges) + 1:
+            raise ValueError("isomorphism test requires connected graphs")
         if not graph.is_folded:
             raise NotFoldedError("isomorphism test requires folded graphs")
         if graph.vertex_count and len(graph._reach(0)) != graph.vertex_count:
@@ -514,8 +518,6 @@ def _propagate(g: XDigraph, h: XDigraph, seed: int, cand: int) -> bool:
             else:
                 mapping[to] = image
                 queue.append(to)
-    if len(mapping) != g.vertex_count:
-        return False  # g not connected from seed; caller rejects earlier
     return len(set(mapping.values())) == h.vertex_count
 
 
@@ -604,8 +606,6 @@ def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
                     depth = on_stack[to]
                     codes = tuple([k for _, k in order[depth + 1 :]]) + (c,)
                     return codes, to
-                if to in visited:
-                    continue
                 visited.add(to)
                 on_stack[to] = len(order)
                 order.append((to, c))

@@ -45,7 +45,8 @@ words are tuples, under the same loops.  The search's forward half,
 the breadth-first ball around the standard basis, depends on the rank
 alone, so one ball per rank is grown on demand and shared by every
 search; after each search it is cut back, whole top layers at a time,
-to NIELSEN_BUDGET // 10 states.
+to NIELSEN_BUDGET // 10 states.  The backward half is a private ball
+around the target, built the same way by the moves undone.
 """
 
 from __future__ import annotations
@@ -723,7 +724,7 @@ def moves_apply_word_inverse(
 # vertex codes.  Each word is a `bytes` object, which hashes once and
 # inverts in C: reversed, then translated by _FLIP (c -> c ^ 1).  bytes
 # holds codes below 256, so ranks up to 128; above that each word is a
-# tuple, inverted by `_inverse`.  `_word_ops` picks the container once
+# tuple, inverted by `_inverse`.  `_rank_ops` picks the container once
 # per rank, and every loop serves both.  A state's words are reduced and
 # nonempty, since it is a basis.
 _State = tuple[Sequence[int], ...]
@@ -733,11 +734,6 @@ _FLIP = bytes([c ^ 1 for c in range(256)])
 
 def _flip(w: bytes) -> bytes:
     return w[::-1].translate(_FLIP)
-
-
-def _word_ops(rank: int) -> tuple[type, Callable]:
-    """The container of the words of a rank's states, and its inversion."""
-    return (bytes, _flip) if rank <= 128 else (tuple, _inverse)
 
 
 def _elementary_moves(rank: int) -> list[NielsenTransformation]:
@@ -753,6 +749,14 @@ def _elementary_moves(rank: int) -> list[NielsenTransformation]:
 
 # Each elementary move with its target and source entries.
 _Moves = list[tuple[NielsenTransformation, int, "int | None"]]
+
+
+@lru_cache(maxsize=None)
+def _rank_ops(rank: int) -> tuple[type, Callable, _Moves]:
+    """The container of the words of a rank's states, its inversion, and
+    the rank's elementary moves with their entries."""
+    moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
+    return (bytes, _flip, moves) if rank <= 128 else (tuple, _inverse, moves)
 
 
 def _successors(
@@ -777,41 +781,42 @@ def _successors(
     return out
 
 
-# A search's parent links: state -> (next state toward the root, move).
-# The backward side of a search and the reduction keep theirs here; the
-# forward side's live in the rank's shared `_Ball`, with their depths,
-# and are cut back to NIELSEN_BUDGET // 10 states after each search.
-_Parents = dict[_State, tuple[_State, NielsenTransformation] | None]
+# Parent links, of both search balls and of the reduction: state ->
+# (next state toward the root, move, depth).  The move carries the state
+# to its parent walking backward, and the parent to the state forward.
+_Links = dict[_State, tuple["_State | None", "NielsenTransformation | None", int]]
 
 
-def _path(parents: _Parents, state: _State) -> list[NielsenTransformation]:
-    """The moves on the parent links from the state to the root, in the
-    order the links are followed."""
+def _path(links: _Links, state: _State) -> list[NielsenTransformation]:
+    """The moves on the links from the state to the root, in the order
+    the links are followed."""
     path: list[NielsenTransformation] = []
-    while parents[state] is not None:
-        state, move = parents[state]  # type: ignore[misc]
-        path.append(move)
+    parent, move, _ = links[state]
+    while parent is not None:
+        path.append(move)  # type: ignore[arg-type]
+        parent, move, _ = links[parent]
     return path
 
 
 class _Ball(object):
-    """The forward half of every Nielsen search of one rank: the
-    breadth-first layers around the standard basis, grown on demand.
-    It depends on the rank alone, so searches share it.
+    """The breadth-first layers of one rank's states around a root,
+    grown on demand: forward by the elementary moves, or backward by
+    the moves undone.  The forward ball around the standard basis
+    depends on the rank alone, so every search of the rank shares it;
+    each search walks back from its target in a private backward ball.
 
-    `links` maps each state to (depth, parent, move), the parent link of
-    a one-sided search from the standard basis; `sizes[d]` counts the
-    states of depth at most d.  A search holds `lock` throughout, since
-    searches grow and trim the ball."""
+    `links` holds each state's parent link; `sizes[d]` counts the states
+    of depth at most d.  A search holds the shared ball's `lock`
+    throughout, since searches grow and trim it."""
 
-    def __init__(self, rank: int) -> None:
-        self.pack, self.invert = _word_ops(rank)
-        self.moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
-        self.std: _State = tuple([self.pack((2 * g,)) for g in range(rank)])
-        self.links: dict[_State, tuple[int, _State | None, NielsenTransformation | None]] = {
-            self.std: (0, None, None)
-        }
-        self.layers: list[list[_State]] = [[self.std]]
+    def __init__(self, rank: int, root: _State | None = None, forward: bool = True) -> None:
+        self.pack, self.invert, self.moves = _rank_ops(rank)
+        self.forward = forward
+        if root is None:
+            root = tuple([(2 * g,) for g in range(rank)])
+        self.root: _State = tuple([self.pack(w) for w in root])
+        self.links: _Links = {self.root: (None, None, 0)}
+        self.layers: list[list[_State]] = [[self.root]]
         self.sizes = [1]
         self.lock = threading.Lock()
 
@@ -822,9 +827,9 @@ class _Ball(object):
             links, fresh = self.links, []
             try:
                 for state in self.layers[-1]:
-                    for new, move in _successors(state, self.moves, self.invert, True):
+                    for new, move in _successors(state, self.moves, self.invert, self.forward):
                         if new not in links:
-                            links[new] = (depth, state, move)
+                            links[new] = (state, move, depth)
                             fresh.append(new)
             except BaseException:
                 # An interrupted layer would be taken as complete later.
@@ -834,15 +839,6 @@ class _Ball(object):
             self.layers.append(fresh)
             self.sizes.append(self.sizes[-1] + len(fresh))
         return self.layers[depth]
-
-    def path(self, state: _State) -> list[NielsenTransformation]:
-        """The moves carrying the standard basis to a state of the ball."""
-        path: list[NielsenTransformation] = []
-        _, parent, move = self.links[state]
-        while parent is not None:
-            path.append(move)  # type: ignore[arg-type]
-            _, parent, move = self.links[parent]
-        return path[::-1]
 
     def trim(self, limit: int) -> None:
         """Drop whole top layers while more than `limit` states remain."""
@@ -857,64 +853,45 @@ def _ball(rank: int) -> _Ball:
     return _Ball(rank)
 
 
-def _bidirectional_search(
-    target: _State, rank: int, node_budget: int
-) -> list[NielsenTransformation] | None:
+def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformation] | None:
     """Shortest elementary move sequence from the standard basis to the
-    target, by bidirectional breadth-first search.  None if the budget
-    runs out (the caller falls back to `_reduction_moves`).
+    target, by bidirectional breadth-first search.  None past
+    NIELSEN_BUDGET states (the caller falls back to `_reduction_moves`).
 
-    The forward side is the rank's shared `_Ball`: stepping forward reads
-    its next layer, and a backward state meets the forward side when its
-    depth in the ball is at most the forward depth.  Only the backward
-    side is expanded here.  So every search visits the states of a
-    search that expands both sides, in the same order, with the same
-    budget check, and returns the same moves.  On return the ball is
-    trimmed to NIELSEN_BUDGET // 10 states, so a search that ran long
-    does not leave its forward half resident.
+    Each step grows the side with the smaller last layer by one layer
+    and looks for the new states among the other side's states.  The
+    forward side is the rank's shared `_Ball`, which may already be
+    deeper than this search has reached, so only its states of the
+    reached depths count.  Meets in one layer share their depth on the
+    grown side; the least depth on the other side wins, the first in
+    layer order on a tie.  On return the shared ball is trimmed to
+    NIELSEN_BUDGET // 10 states, so a search that ran long does not
+    leave its forward half resident.
     """
-    ball = _ball(rank)
-    target = tuple([ball.pack(w) for w in target])
-    if target == ball.std:
+    forward = _ball(rank)
+    backward = _Ball(rank, target, forward=False)
+    if backward.root == forward.root:
         return []
-    links, sizes = ball.links, ball.sizes
-    # Backward links lead on to the target.
-    parents_b: _Parents = {target: None}
-    frontier_b = [target]
-    depth = 0
-    with ball.lock:
+    balls, depths = (forward, backward), [0, 0]
+    with forward.lock:
         try:
-            frontier_f = ball.layer(0)
-            while frontier_f and frontier_b:
-                if sizes[depth] + len(parents_b) > node_budget:
+            while True:
+                last = [ball.layers[d] for ball, d in zip(balls, depths)]
+                size = forward.sizes[depths[0]] + backward.sizes[depths[1]]
+                if not all(last) or size > NIELSEN_BUDGET:
                     return None
-                if len(frontier_f) <= len(frontier_b):
-                    depth += 1
-                    frontier_f = ball.layer(depth)
-                    meets = [s for s in frontier_f if s in parents_b]
-                    key = lambda m: len(_path(parents_b, m))
-                else:
-                    fresh: list[_State] = []
-                    meets = []
-                    for state in frontier_b:
-                        for new, move in _successors(state, ball.moves, ball.invert, False):
-                            if new in parents_b:
-                                continue
-                            parents_b[new] = (state, move)
-                            fresh.append(new)
-                            link = links.get(new)
-                            if link is not None and link[0] <= depth:
-                                meets.append(new)
-                    frontier_b = fresh
-                    key = lambda m: links[m][0]
+                side = len(last[0]) > len(last[1])
+                depths[side] += 1
+                fresh = balls[side].layer(depths[side])
+                links, reached = balls[not side].links, depths[not side]
+                if links.keys().isdisjoint(fresh):
+                    continue
+                meets = [s for s in fresh if s in links and links[s][2] <= reached]
                 if meets:
-                    # Meets in one batch share their depth on the expanded
-                    # side but not on the other; the shortest total wins.
-                    best = min(meets, key=key)
-                    return ball.path(best) + _path(parents_b, best)
-            return None
+                    best = min(meets, key=lambda s: links[s][2])
+                    return _path(forward.links, best)[::-1] + _path(backward.links, best)
         finally:
-            ball.trim(NIELSEN_BUDGET // 10)
+            forward.trim(NIELSEN_BUDGET // 10)
 
 
 def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformation]:
@@ -934,29 +911,29 @@ def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformat
     shorter one holds the trivial word, which a basis never allows.
     """
     rank = len(target)
-    pack, invert = _word_ops(rank)
-    moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
+    pack, invert, moves = _rank_ops(rank)
     back: list[NielsenTransformation] = []
     state, length = tuple([pack(w) for w in target]), sum(map(len, target))
-    parents: _Parents = {state: None}
+    links: _Links = {state: (None, None, 0)}
     queue = deque([state])
     while length > rank:
         if not queue:
             raise CertificateError("Nielsen reduction met no tuple shorter than %d" % length)
         current = queue.popleft()
+        depth = links[current][2] + 1
         for new, move in _successors(current, moves, invert, False):
             size = sum(map(len, new))
-            if size > length or new in parents:
+            if size > length or new in links:
                 continue
-            parents[new] = (current, move)
+            links[new] = (current, move, depth)
             if size < length:
                 if not all(new):
                     raise CertificateError("Nielsen reduction met the trivial word")
-                back.extend(reversed(_path(parents, new)))
+                back.extend(reversed(_path(links, new)))
                 state, length = new, size
-                parents, queue = {new: None}, deque([new])
+                links, queue = {new: (None, None, 0)}, deque([new])
                 break
-            if len(parents) > NIELSEN_BUDGET:
+            if len(links) > NIELSEN_BUDGET:
                 raise NielsenBudgetError(
                     "Nielsen reduction over the budget of %d tuples of one length" % NIELSEN_BUDGET
                 )
@@ -1004,7 +981,7 @@ def _decompose_basis(words: tuple[Word, ...], alphabet: Alphabet) -> list[Nielse
     the alphabet's rank, such as the combined basis of a certified
     splitting: no fold re-checks them, but the replay check still runs."""
     target = tuple([w.codes for w in words])
-    moves = _bidirectional_search(target, alphabet.rank, NIELSEN_BUDGET)
+    moves = _bidirectional_search(target, alphabet.rank)
     if moves is None:
         moves = _reduction_moves(target)
     if apply_nielsen(moves, alphabet) != words:

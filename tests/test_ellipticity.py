@@ -182,10 +182,13 @@ class TestSplittingCaches:
     @given(verified_splittings())
     def test_equality_ignores_caches(self, s):
         fresh = verify_splitting(s.basis_a, s.basis_b, s.alphabet)
+        before = dataclasses.asdict(s), dataclasses.astuple(s)
         assert splittings_distance_two(s, s)
         assert word_elliptic(s.basis_b[0], s)
         assert s == fresh and hash(s) == hash(fresh)
         assert repr(s) == repr(fresh)
+        assert (dataclasses.asdict(s), dataclasses.astuple(s)) == before
+        assert [f.name for f in dataclasses.fields(s)] == ["alphabet", "basis_a", "basis_b"]
 
 
 class TestSplittingsDistanceTwo:

@@ -383,7 +383,7 @@ class TestMultiplierKernel:
 @st.composite
 def nielsen_targets(draw):
     """A basis reached from the standard one by 0-10 random moves."""
-    rank = draw(st.sampled_from((2, 3, 4)))
+    rank = draw(st.sampled_from((1, 2, 3, 4)))
     alphabet = Alphabet.of_rank(rank)
     moves = draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=10))
     return rank, apply_nielsen(moves, alphabet)
@@ -391,6 +391,14 @@ def nielsen_targets(draw):
 
 def pair_key(words):
     return tuple(tuple((l.gen, l.sign) for l in w.letters) for w in words)
+
+
+def search(target, rank, budget):
+    """_bidirectional_search under a NIELSEN_BUDGET of `budget`, which
+    also sets the shared ball's trim limit to budget // 10."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(whitehead, "NIELSEN_BUDGET", budget)
+        return _bidirectional_search(target, rank)
 
 
 class TestNielsenSearch:
@@ -403,14 +411,14 @@ class TestNielsenSearch:
     def test_matches_pair_keyed_search(self, case):
         rank, words = case
         expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
-        assert _bidirectional_search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
+        assert search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
 
     @settings(max_examples=80, deadline=None)
     @given(nielsen_targets(), st.integers(0, 300))
     def test_small_budgets_run_out_together(self, case, budget):
         rank, words = case
         expected = oracle.bidirectional_search(pair_key(words), rank, budget)
-        found = _bidirectional_search(tuple(w.codes for w in words), rank, budget)
+        found = search(tuple(w.codes for w in words), rank, budget)
         assert (found is None) == (expected is None)
         assert found == expected
 
@@ -430,17 +438,19 @@ class TestNielsenSearch:
 
     def test_a_warm_or_trimmed_ball_changes_nothing(self):
         # The deep search runs out of budget after growing the rank-3
-        # ball past its trim limit, so the searches after it read a warm
-        # ball and regrow the layers the trim dropped.
+        # ball past its trim limit.  Each search trims the ball to a
+        # tenth of its budget, so with the budgets falling every batch
+        # starts on a ball deeper than its searches reach, and regrows
+        # the layers the trim dropped.
         _ball.cache_clear()
         deep = tuple(parse_word(t, Alphabet.of_rank(3)).codes for t in self.DEEP)
-        assert _bidirectional_search(deep, 3, 100_000) is None
+        assert search(deep, 3, 100_000) is None
         ball = _ball(3)
-        assert ball.sizes[-1] == len(ball.links) <= whitehead.NIELSEN_BUDGET // 10
-        for budget in (0, 7, 300, self.BUDGET):
+        assert ball.sizes[-1] == len(ball.links) <= 100_000 // 10
+        for budget in (self.BUDGET, 300, 7, 0):
             for rank, words in self.random_targets(budget, 12):
                 expected = oracle.bidirectional_search(pair_key(words), rank, budget)
-                assert _bidirectional_search(tuple(w.codes for w in words), rank, budget) == expected
+                assert search(tuple(w.codes for w in words), rank, budget) == expected
 
     def test_an_interrupted_layer_is_dropped(self, monkeypatch):
         # Growing layer 2 of the rank-3 ball fails after three of the
@@ -459,12 +469,12 @@ class TestNielsenSearch:
         monkeypatch.setattr(whitehead, "_successors", failing)
         deep = tuple(parse_word(t, Alphabet.of_rank(3)).codes for t in self.DEEP)
         with pytest.raises(RuntimeError, match="interrupted"):
-            _bidirectional_search(deep, 3, self.BUDGET)
+            search(deep, 3, self.BUDGET)
         monkeypatch.setattr(whitehead, "_successors", real)
         assert len(_ball(3).links) == _ball(3).sizes[-1] == 10
         for rank, words in cases:
             expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
-            assert _bidirectional_search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
+            assert search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
 
     @pytest.mark.parametrize("move", [
         NielsenTransformation.invert(128),
@@ -477,8 +487,8 @@ class TestNielsenSearch:
         words = apply_nielsen([move], alphabet)
         expected = oracle.bidirectional_search(pair_key(words), 129, self.BUDGET)
         try:
-            assert _bidirectional_search(tuple(w.codes for w in words), 129, self.BUDGET) == expected == [move]
-            assert isinstance(_ball(129).std[0], tuple)
+            assert search(tuple(w.codes for w in words), 129, self.BUDGET) == expected == [move]
+            assert isinstance(_ball(129).root[0], tuple)
         finally:
             _ball.cache_clear()
 
@@ -486,17 +496,17 @@ class TestNielsenSearch:
         # A trim limit of 100 states makes most searches trim the layers
         # that the others read or grow.
         monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 1_000)
-        cases = [(rank, tuple(w.codes for w in words), oracle.bidirectional_search(pair_key(words), rank, self.BUDGET))
+        cases = [(rank, tuple(w.codes for w in words), oracle.bidirectional_search(pair_key(words), rank, 1_000))
                  for rank, words in self.random_targets(3, 16)]
         _ball.cache_clear()
         found = {}
 
-        def search(k):
+        def searches(k):
             for i in list(range(k, len(cases))) + list(range(k)):
                 rank, target, _ = cases[i]
-                found[k, i] = _bidirectional_search(target, rank, self.BUDGET)
+                found[k, i] = _bidirectional_search(target, rank)
 
-        threads = [threading.Thread(target=search, args=(k,)) for k in range(6)]
+        threads = [threading.Thread(target=searches, args=(k,)) for k in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:

@@ -352,6 +352,11 @@ class TestIsomorphism:
         isolated = XDigraph(2, 2, ())
         with pytest.raises(ValueError, match="connected"):
             digraph_isomorphic(isolated, isolated)
+        # Too few edges to connect: refused before any per-vertex table.
+        bare = XDigraph(2, 10**5, ())
+        with pytest.raises(ValueError, match="connected"):
+            digraph_isomorphic(bare, bare)
+        assert "_arcs" not in bare.__dict__
 
 
 class TestSpanningTreeBasis:

@@ -190,7 +190,8 @@ def splittings_distance_two(
 
     An element lies in conjugates of factors H and K exactly when the
     product of their type graphs has a cycle; going once around the
-    first cycle found yields the witness.
+    first cycle found yields the witness.  A "no" is certified by
+    `_is_forest`, which shares no code with the cycle search.
     """
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
@@ -198,7 +199,28 @@ def splittings_distance_two(
         found = _find_cycle(prod)
         if found is not None:
             return EllipticityAnswer(True, CyclicWord._of(s1.alphabet, found[0]))
+        if not _is_forest(prod):
+            raise CertificateError("the cycle search missed a cycle in a product of type graphs")
     return EllipticityAnswer(False)
+
+
+def _is_forest(g: XDigraph) -> bool:
+    """Is the symmetrized graph a forest?  A union-find over the edges:
+    a loop, or an edge whose ends are already in one component, closes
+    a cycle."""
+    parent = list(range(g.vertex_count))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for o, t, _ in g.edges:
+        o, t = find(o), find(t)
+        if o == t:
+            return False
+        parent[t] = o
+    return True
 
 
 def word_elliptic(w: "Word | CyclicWord", s: FreeSplitting) -> bool:

@@ -11,7 +11,10 @@ type graphs, and extraction of a free basis from a spanning tree.
 Each graph keeps one adjacency table, `XDigraph._arcs`: per vertex, its
 arcs (letter code, head, edge index), built from the edges once.
 Degrees, the folding test, the step index, reachability, cycle search
-and breadth-first trees all read it.
+and breadth-first trees all read it; a rebased copy (`with_base`) shares
+these tables.  `build_subgroup` makes one graph: it folds the wedge's
+edge list and peels the quotient on the fold's own label tables, so
+neither the wedge nor the unpeeled quotient is ever a graph.
 
 Graphs are immutable after construction; all functions are pure.
 """
@@ -22,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .words import (
     Alphabet,
@@ -156,7 +159,17 @@ class XDigraph(object):
         return seen
 
     def with_base(self, v: int | None) -> "XDigraph":
-        return XDigraph(self.rank, self.vertex_count, self.edges, v)
+        """The same graph at another base.  The cached tables that do not
+        depend on the base are shared with the copy, not built again."""
+        g = XDigraph(self.rank, self.vertex_count, self.edges, v)
+        for name in _BASE_FREE_TABLES:
+            if name in self.__dict__:
+                g.__dict__[name] = self.__dict__[name]
+        return g
+
+
+# The cached properties of an XDigraph that read only its edges.
+_BASE_FREE_TABLES = ("_arcs", "degrees", "_step_index", "is_folded", "_steps")
 
 
 def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
@@ -170,10 +183,14 @@ def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
     return XDigraph(g.rank, len(keep_sorted), edges, new_base)
 
 
-def _fold_classes(vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> tuple[list[int], list]:
+def _fold_classes(
+    vertex_count: int, edges: Iterable[tuple[int, int, int]]
+) -> tuple[list[int], list, list]:
     """Which vertices Stallings folding identifies, read off the edge
-    triples alone: (leader, out), where leader[v] is the smallest vertex
-    of v's class and out[u] the out-table of the class u leads.
+    triples alone: (leader, out, inn), where leader[v] is the smallest
+    vertex of v's class, and out[u] and inn[u] are the out- and in-tables
+    (label -> a member of the far class) of the class u leads; an
+    absorbed vertex's tables are None.
 
     Worklist folding (Touikan 2006; Kapovich-Myasnikov 2002): every
     class keeps an out-table and an in-table label -> vertex, and a stack
@@ -214,7 +231,7 @@ def _fold_classes(vertex_count: int, edges: Iterable[tuple[int, int, int]]) -> t
                 if far != v:
                     pending.append((far, v))
             table[absorbed] = None
-    return [find(v) for v in range(vertex_count)], out
+    return [find(v) for v in range(vertex_count)], out, inn
 
 
 def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | None) -> XDigraph:
@@ -230,37 +247,45 @@ def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | Non
 def fold(g: XDigraph) -> XDigraph:
     """Merge edges with equal label and a shared endpoint until folded.
     Vertices are numbered by their class's smallest original index."""
-    leader, _ = _fold_classes(g.vertex_count, g.edges)
+    leader, _, _ = _fold_classes(g.vertex_count, g.edges)
     return _quotient(g.rank, leader, g.edges, g.base)
 
 
-def _peel(g: XDigraph, keep: int | None) -> list[bool]:
+def _peel(
+    degrees: Sequence[int], neighbours: Callable[[int], Iterable[int]], keep: int | None
+) -> list[bool]:
     """Survival flags after repeatedly removing every vertex of degree at
     most one other than `keep`.
 
+    `degrees[u]` counts u's arcs in the symmetrized graph, so a loop
+    counts twice, and `neighbours(u)` lists the far end of each of them.
     The removals do not depend on their order.  A worklist holds the
-    vertices to remove; removing one deletes its remaining edges and
-    adds each neighbour whose degree falls to one, so every edge is
-    deleted, and every degree decremented, at most once.
+    removed vertices whose arcs are still to be taken away; taking them
+    away costs each neighbour still alive one degree per arc and removes
+    it when its degree falls to one.  A neighbour already removed is
+    skipped, since its degree no longer matters, so no edge ids are
+    needed and each arc is read once.  A vertex with a loop keeps degree
+    at least two, so it is never removed.
     """
-    deg = list(g.degrees)
-    arcs = g._arcs
-    alive = [True] * g.vertex_count
+    deg = list(degrees)
+    alive = [True] * len(deg)
     work = [u for u, d in enumerate(deg) if d <= 1 and u != keep]
     for u in work:
         alive[u] = False
-    deleted = [False] * len(g.edges)
     while work:
-        # A vertex with a loop keeps degree >= 2, so it is never removed.
-        for _, w, eid in arcs[work.pop()]:
-            if deleted[eid]:
-                continue
-            deleted[eid] = True
-            deg[w] -= 1
-            if deg[w] <= 1 and alive[w] and w != keep:
-                alive[w] = False
-                work.append(w)
+        for w in neighbours(work.pop()):
+            if alive[w]:
+                deg[w] -= 1
+                if deg[w] <= 1 and w != keep:
+                    alive[w] = False
+                    work.append(w)
     return alive
+
+
+def _peel_graph(g: XDigraph, keep: int | None) -> list[bool]:
+    """`_peel` on a graph's own arc table."""
+    arcs = g._arcs
+    return _peel(g.degrees, lambda u: [w for _, w, _ in arcs[u]], keep)
 
 
 def core(g: XDigraph, v: int) -> XDigraph:
@@ -272,7 +297,7 @@ def core(g: XDigraph, v: int) -> XDigraph:
     among the survivors.  The base of the result is v.
     """
     g._check_vertex(v, "core base")
-    return _restrict(g, g._reach(v, _peel(g, v)), v)
+    return _restrict(g, g._reach(v, _peel_graph(g, v)), v)
 
 
 @dataclass(frozen=True)
@@ -336,21 +361,45 @@ def _generates(code_words: Sequence[Sequence[int]], rank: int) -> bool:
     one vertex and that vertex's out-table holds all `rank` labels.  No
     graph is built."""
     n_vertices, edges = _wedge(code_words)
-    leader, out = _fold_classes(n_vertices, edges)
+    leader, out, _ = _fold_classes(n_vertices, edges)
     return len(out[0]) == rank and not any(leader)
 
 
 def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
-    """Wedge subdivided generator loops at a base, fold, and take the core."""
+    """Wedge subdivided generator loops at a base, fold, and take the core.
+
+    Only the core is made a graph.  The fold kernel's tables already
+    hold the quotient: its vertices are the class leaders, and a leader
+    u has one arc per entry of out[u] and inn[u] (a loop is in both).
+    An absorbed vertex is given degree two, which keeps it out of the
+    peel; no arc leads to it.  Vertex 0, the base, leads its class.  The
+    wedge is connected and peeling never disconnects, so the surviving
+    leaders are the core; they are renumbered in leader order, as
+    `fold` and `core` would number them.  `Subgroup` re-checks the
+    result, and a failure there is the library's defect.
+    """
     for w in generators:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generator over a different alphabet")
     n_vertices, edges = _wedge([w.codes for w in generators])
-    leader, _ = _fold_classes(n_vertices, edges)
-    folded = _quotient(alphabet.rank, leader, edges, 0)
-    if folded.base is None:
-        raise CertificateError("folding lost the base vertex")
-    return Subgroup(core(folded, folded.base), alphabet)
+    leader, out, inn = _fold_classes(n_vertices, edges)
+    degrees = [2 if o is None else len(o) + len(i) for o, i in zip(out, inn)]
+    alive = _peel(
+        degrees, lambda u: [leader[v] for table in (out[u], inn[u]) for v in table.values()], 0
+    )
+    survivors = [u for u in range(n_vertices) if alive[u] and out[u] is not None]
+    number = {u: k for k, u in enumerate(survivors)}
+    core_edges = []
+    for k, u in enumerate(survivors):
+        for l, v in out[u].items():
+            t = number.get(leader[v])
+            if t is not None:
+                core_edges.append((k, t, l))
+    graph = XDigraph(alphabet.rank, len(survivors), tuple(core_edges), 0)
+    try:
+        return Subgroup(graph, alphabet)
+    except ValueError as exc:
+        raise CertificateError("build_subgroup made a graph that is not a core: %s" % exc) from None
 
 
 def contains(h: Subgroup, w: Word) -> bool:
@@ -399,7 +448,7 @@ def type_graph(h: Subgroup) -> XDigraph:
     g = h.graph
     if g.degrees[h.base] != 1:
         return g.with_base(None)
-    alive = _peel(g, None)
+    alive = _peel_graph(g, None)
     return _restrict(g, (u for u in range(g.vertex_count) if alive[u]), None)
 
 
@@ -653,8 +702,12 @@ def graph_from_text(text: str, alphabet: Alphabet) -> XDigraph:
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 2:
+                if vertex_count is not None:
+                    raise GraphFormatError("repeated 'v' line")
                 vertex_count = int(parts[1])
             elif parts[0] == "base" and len(parts) == 2:
+                if base is not None:
+                    raise GraphFormatError("repeated 'base' line")
                 base = int(parts[1])
             elif parts[0] == "e" and len(parts) == 4:
                 edges.append((int(parts[1]), int(parts[2]), alphabet.index(parts[3])))

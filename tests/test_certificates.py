@@ -65,13 +65,25 @@ expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
 )
 
-# Folding keeps the base vertex of the wedge it folds: build_subgroup
-# folds the wedge's edge list and takes the quotient at vertex 0.
-real_quotient = stallings._quotient
-stallings._quotient = lambda rank, leader, edges, base: real_quotient(rank, leader, edges, None)
+# build_subgroup peels the folded wedge on the fold's tables, and the
+# graph it makes must be a core: a peel that also drops aab's last
+# vertex leaves the vertex before it hanging.
+real_peel = stallings._peel
+stallings._peel = lambda *args: real_peel(*args)[:-1] + [False]
 expect_certificate_error(
-    "build_subgroup", lambda: stallings.build_subgroup([parse_word("ab", A2)], A2)
+    "build_subgroup", lambda: stallings.build_subgroup([parse_word("aab", A2)], A2)
 )
+stallings._peel = real_peel
+
+# A "no" from the cycle search is re-checked by a union-find: the two
+# splittings are equal, so every product of type graphs has a cycle.
+real_find_cycle = ellipticity._find_cycle
+ellipticity._find_cycle = lambda g: None
+split = ellipticity.FreeSplitting(A2, (parse_word("a", A2),), (parse_word("b", A2),))
+expect_certificate_error(
+    "splittings_distance_two", lambda: ellipticity.splittings_distance_two(split, split)
+)
+ellipticity._find_cycle = real_find_cycle
 
 # A splitting certifies itself at construction.
 try:
@@ -103,5 +115,6 @@ def test_certificate_checks_survive_optimized_mode():
         "minimize_tuple raised",
         "equal_length_orbit raised",
         "build_subgroup raised",
+        "splittings_distance_two raised",
         "FreeSplitting raised: combined basis words do not generate F",
     ]

@@ -138,6 +138,12 @@ class TestIso:
         assert run(["iso", "-n", "2"], "")[0] == 2
         assert run(["iso", "-n", "2"], GRAPH_BAB + "\nnot a graph\n")[0] == 2
 
+    def test_repeated_header_line(self):
+        # The second 'v' line is refused, not taken in place of the first.
+        graph = "v 1\nv 2\ne 0 1 a\n"
+        code, out, err = run(["iso", "-n", "2"], graph + "\n" + graph)
+        assert (code, out) == (2, "") and "repeated 'v' line" in err
+
     def test_negative_vertex_count(self):
         code, out, err = run(["iso", "-n", "2"], "v -1\n\nv -1\n")
         assert (code, out) == (2, "")

@@ -69,12 +69,13 @@ def letters(rank):
 
 
 @st.composite
-def generators(draw, alphabet):
-    """Generator lists from the families that stress folding: random words,
-    the heavy x^n x^(n+1), long conjugators around short words, a long
-    shared prefix, periodic words (ab)^k, and one-letter or empty words."""
+def generators(draw, alphabet, max_len=8):
+    """Generator lists from the families that stress folding: random words
+    of up to `max_len` letters, the heavy x^n x^(n+1), long conjugators
+    around such words, a long shared prefix, periodic words (ab)^k, and
+    one-letter or empty words."""
     rank = alphabet.rank
-    word = st.lists(letters(rank), max_size=8)
+    word = st.lists(letters(rank), max_size=max_len)
     family = draw(st.sampled_from(FAMILIES))
     if family == "random":
         gens = draw(st.lists(word, min_size=1, max_size=3))
@@ -185,9 +186,9 @@ class TestFold:
     def test_arbitrary_digraphs(self, g):
         assert fold(g) == oracle.fold(g)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.sampled_from((1, 2, 3)).flatmap(
-        lambda r: st.tuples(st.just(Alphabet.of_rank(r)), generators(Alphabet.of_rank(r)))))
+        lambda r: st.tuples(st.just(Alphabet.of_rank(r)), generators(Alphabet.of_rank(r), 60))))
     def test_generator_wedges(self, case):
         alphabet, gens = case
         g = wedge(gens, alphabet)

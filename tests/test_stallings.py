@@ -4,6 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freegroups.cli import run
+
 from freegroups.stallings import (
     AlphabetMismatchError,
     GraphFormatError,
@@ -109,13 +111,14 @@ class TestBuild:
         assert h.graph.edges == ((0, 0, 0), (0, 0, 1))
 
     @pytest.mark.parametrize("texts", ["baB", "aa aaa", "a b", "abA bab", "1"])
-    def test_builds_the_folded_graph_and_its_core_only(self, monkeypatch, texts):
-        # The wedge is folded as an edge list, so no graph is made for it.
+    def test_builds_one_graph(self, monkeypatch, texts):
+        # The wedge is folded and the quotient peeled on the fold's
+        # tables, so the core is the only graph made.
         built = []
         original = XDigraph.__post_init__
         monkeypatch.setattr(XDigraph, "__post_init__", lambda g: built.append(g) or original(g))
         h = sub(texts)
-        assert len(built) == 2 and built[-1] == h.graph
+        assert len(built) == 1 and built[0] == h.graph
 
     def test_free_rank(self):
         assert sub("a b").free_rank == 2
@@ -263,6 +266,46 @@ class TestTypeGraph:
                 continue
             again = type_graph(Subgroup(t.with_base(0), A2))
             assert again == t
+
+
+class TestWithBase:
+    def test_copy_shares_tables_equal_to_fresh_ones(self):
+        rng = random.Random(71)
+        for _ in range(30):
+            g = random_subgroup(rng, A3)[0].graph
+            assert g._steps is not None  # build every table on g first
+            copy = g.with_base(None)
+            fresh = XDigraph(g.rank, g.vertex_count, g.edges, None)
+            assert copy == fresh
+            for name in ("_arcs", "degrees", "_step_index", "is_folded", "_steps"):
+                assert copy.__dict__[name] is g.__dict__[name]
+                assert getattr(copy, name) == getattr(fresh, name)
+
+    def test_copy_of_an_unbuilt_graph_builds_its_own(self):
+        g = XDigraph(2, 2, ((0, 1, 0), (1, 1, 1)), 0)
+        copy = g.with_base(1)
+        assert "_arcs" not in copy.__dict__
+        assert copy.degrees == (1, 3) and "_arcs" not in g.__dict__
+
+    def test_type_and_conjugate_output_unchanged(self, monkeypatch):
+        rng = random.Random(73)
+        requests = []
+        for _ in range(20):
+            gens = [random_word(rng, A2, 6) for _ in range(2)]
+            x = random_word(rng, A2, 4)
+            text = " ".join(map(str, gens))
+            conjugated = " ".join(str(x * w * ~x) for w in gens)
+            other = " ".join(str(random_word(rng, A2, 6)) for _ in range(2))
+            requests.append(["type", "-n", "2", text])
+            requests.append(["conjugate", "-n", "2", text, conjugated])
+            requests.append(["conjugate", "-n", "2", text, other])
+        shared = [run(argv) for argv in requests]
+
+        def unshared(g, v):  # a copy that builds its own tables
+            return XDigraph(g.rank, g.vertex_count, g.edges, v)
+
+        monkeypatch.setattr(XDigraph, "with_base", unshared)
+        assert [run(argv) for argv in requests] == shared
 
 
 class TestProductIntersect:
@@ -469,6 +512,12 @@ class TestSerialization:
             graph_from_text("e 0 0 a\n", A2)
         with pytest.raises(GraphFormatError):
             graph_from_text("v 1\ne 0 2 a\n", A2)
+
+    @pytest.mark.parametrize("text", ["v 1\nv 2\ne 0 1 a\n", "v 2\nbase 0\nbase 1\ne 0 1 a\n"])
+    def test_repeated_header_lines(self, text):
+        # A second 'v' or 'base' line is an error, not a silent override.
+        with pytest.raises(GraphFormatError, match="repeated"):
+            graph_from_text(text, A2)
 
     def test_dot_mentions_every_edge(self):
         h = sub("baB")

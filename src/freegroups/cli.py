@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         grp = p.add_mutually_exclusive_group(required=True)
         grp.add_argument(
             "-n", dest="rank", type=int, metavar="RANK",
-            help="use the alphabet a, b, c, ... of this rank",
+            help="use the alphabet a, b, c, ... of this rank (1 to 26)",
         )
         grp.add_argument(
             "--alphabet", metavar="CHARS",
@@ -136,6 +136,8 @@ def _alphabet_of(args) -> Alphabet:
     if args.rank is not None:
         if args.rank < 1:
             raise _Exit(2, "", "error: rank must be at least 1\n")
+        if args.rank > len(string.ascii_lowercase):
+            raise _Exit(2, "", "error: rank must be at most 26\n")
         return Alphabet.of_rank(args.rank)
     symbols = tuple(args.alphabet)
     if any(c not in string.ascii_lowercase for c in symbols):

@@ -12,9 +12,10 @@ Each graph keeps one adjacency table, `XDigraph._arcs`: per vertex, its
 arcs (letter code, head, edge index), built from the edges once.
 Degrees, the folding test, the step index, reachability, cycle search
 and breadth-first trees all read it; a rebased copy (`with_base`) shares
-these tables.  `build_subgroup` makes one graph: it folds the wedge's
-edge list and peels the quotient on the fold's own label tables, so
-neither the wedge nor the unpeeled quotient is ever a graph.
+these tables.  `build_subgroup` makes one graph: the quotient of the
+wedge's edge list by the fold.  For freely reduced generators that
+quotient is already the core at the base, so no peel runs; `core`
+serves the other graphs, such as products.
 
 Graphs are immutable after construction; all functions are pure.
 """
@@ -25,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .words import (
     Alphabet,
@@ -185,19 +186,20 @@ def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
 
 def _fold_classes(
     vertex_count: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[int], list, list]:
+) -> tuple[list[int], list]:
     """Which vertices Stallings folding identifies, read off the edge
-    triples alone: (leader, out, inn), where leader[v] is the smallest
-    vertex of v's class, and out[u] and inn[u] are the out- and in-tables
-    (label -> a member of the far class) of the class u leads; an
-    absorbed vertex's tables are None.
+    triples alone: (leader, out), where leader[v] is the smallest vertex
+    of v's class, and out[u] is the out-table (label -> a member of the
+    far class) of the class u leads; an absorbed vertex's is None.
 
     Worklist folding (Touikan 2006; Kapovich-Myasnikov 2002): every
     class keeps an out-table and an in-table label -> vertex, and a stack
     holds the vertex pairs still to be identified.  A union moves the
     absorbed class's tables into the leader's and pushes each label
     clash this creates, so a merge costs O(rank) and the whole fold is
-    near-linear.  The classes do not depend on merge order.
+    near-linear.  The classes do not depend on merge order.  On a wedge
+    of loops reading freely reduced words the quotient by the classes
+    is already the core at the base, so `build_subgroup` peels nothing.
     """
     parent = list(range(vertex_count))
     out = [{} for _ in range(vertex_count)]  # label -> terminus
@@ -231,7 +233,7 @@ def _fold_classes(
                 if far != v:
                     pending.append((far, v))
             table[absorbed] = None
-    return [find(v) for v in range(vertex_count)], out, inn
+    return [find(v) for v in range(vertex_count)], out
 
 
 def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | None) -> XDigraph:
@@ -247,18 +249,15 @@ def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | Non
 def fold(g: XDigraph) -> XDigraph:
     """Merge edges with equal label and a shared endpoint until folded.
     Vertices are numbered by their class's smallest original index."""
-    leader, _, _ = _fold_classes(g.vertex_count, g.edges)
+    leader, _ = _fold_classes(g.vertex_count, g.edges)
     return _quotient(g.rank, leader, g.edges, g.base)
 
 
-def _peel(
-    degrees: Sequence[int], neighbours: Callable[[int], Iterable[int]], keep: int | None
-) -> list[bool]:
-    """Survival flags after repeatedly removing every vertex of degree at
-    most one other than `keep`.
+def _peel(g: XDigraph, keep: int | None) -> list[bool]:
+    """Survival flags after repeatedly removing every vertex of g of
+    degree at most one other than `keep`.
 
-    `degrees[u]` counts u's arcs in the symmetrized graph, so a loop
-    counts twice, and `neighbours(u)` lists the far end of each of them.
+    Degrees count arcs in the symmetrized graph, so a loop counts twice.
     The removals do not depend on their order.  A worklist holds the
     removed vertices whose arcs are still to be taken away; taking them
     away costs each neighbour still alive one degree per arc and removes
@@ -267,25 +266,20 @@ def _peel(
     needed and each arc is read once.  A vertex with a loop keeps degree
     at least two, so it is never removed.
     """
-    deg = list(degrees)
+    arcs = g._arcs
+    deg = list(g.degrees)
     alive = [True] * len(deg)
     work = [u for u, d in enumerate(deg) if d <= 1 and u != keep]
     for u in work:
         alive[u] = False
     while work:
-        for w in neighbours(work.pop()):
+        for _, w, _ in arcs[work.pop()]:
             if alive[w]:
                 deg[w] -= 1
                 if deg[w] <= 1 and w != keep:
                     alive[w] = False
                     work.append(w)
     return alive
-
-
-def _peel_graph(g: XDigraph, keep: int | None) -> list[bool]:
-    """`_peel` on a graph's own arc table."""
-    arcs = g._arcs
-    return _peel(g.degrees, lambda u: [w for _, w, _ in arcs[u]], keep)
 
 
 def core(g: XDigraph, v: int) -> XDigraph:
@@ -297,7 +291,7 @@ def core(g: XDigraph, v: int) -> XDigraph:
     among the survivors.  The base of the result is v.
     """
     g._check_vertex(v, "core base")
-    return _restrict(g, g._reach(v, _peel_graph(g, v)), v)
+    return _restrict(g, g._reach(v, _peel(g, v)), v)
 
 
 @dataclass(frozen=True)
@@ -361,43 +355,29 @@ def _generates(code_words: Sequence[Sequence[int]], rank: int) -> bool:
     one vertex and that vertex's out-table holds all `rank` labels.  No
     graph is built."""
     n_vertices, edges = _wedge(code_words)
-    leader, out, _ = _fold_classes(n_vertices, edges)
+    leader, out = _fold_classes(n_vertices, edges)
     return len(out[0]) == rank and not any(leader)
 
 
 def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
-    """Wedge subdivided generator loops at a base, fold, and take the core.
+    """Wedge subdivided generator loops at a base and fold; the folded
+    wedge is the core, so no peel runs and it is the one graph made.
 
-    Only the core is made a graph.  The fold kernel's tables already
-    hold the quotient: its vertices are the class leaders, and a leader
-    u has one arc per entry of out[u] and inn[u] (a loop is in both).
-    An absorbed vertex is given degree two, which keeps it out of the
-    peel; no arc leads to it.  Vertex 0, the base, leads its class.  The
-    wedge is connected and peeling never disconnects, so the surviving
-    leaders are the core; they are renumbered in leader order, as
-    `fold` and `core` would number them.  `Subgroup` re-checks the
-    result, and a failure there is the library's defect.
+    Every edge of the folded wedge is the image of an edge on some
+    generator loop, and that loop reads a freely reduced word, which in
+    a folded graph labels a path without backtracking.  So each edge
+    lies on a reduced closed path at the base, and every vertex but the
+    base has degree at least two (Stallings 1983).  Vertex 0, the base,
+    leads its class.  `Subgroup` re-checks folded, connected and core,
+    and a failure there is the library's defect.
     """
     for w in generators:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generator over a different alphabet")
     n_vertices, edges = _wedge([w.codes for w in generators])
-    leader, out, inn = _fold_classes(n_vertices, edges)
-    degrees = [2 if o is None else len(o) + len(i) for o, i in zip(out, inn)]
-    alive = _peel(
-        degrees, lambda u: [leader[v] for table in (out[u], inn[u]) for v in table.values()], 0
-    )
-    survivors = [u for u in range(n_vertices) if alive[u] and out[u] is not None]
-    number = {u: k for k, u in enumerate(survivors)}
-    core_edges = []
-    for k, u in enumerate(survivors):
-        for l, v in out[u].items():
-            t = number.get(leader[v])
-            if t is not None:
-                core_edges.append((k, t, l))
-    graph = XDigraph(alphabet.rank, len(survivors), tuple(core_edges), 0)
+    leader, _ = _fold_classes(n_vertices, edges)
     try:
-        return Subgroup(graph, alphabet)
+        return Subgroup(_quotient(alphabet.rank, leader, edges, 0), alphabet)
     except ValueError as exc:
         raise CertificateError("build_subgroup made a graph that is not a core: %s" % exc) from None
 
@@ -448,7 +428,7 @@ def type_graph(h: Subgroup) -> XDigraph:
     g = h.graph
     if g.degrees[h.base] != 1:
         return g.with_base(None)
-    alive = _peel_graph(g, None)
+    alive = _peel(g, None)
     return _restrict(g, (u for u in range(g.vertex_count) if alive[u]), None)
 
 

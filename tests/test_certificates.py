@@ -65,15 +65,22 @@ expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
 )
 
-# build_subgroup peels the folded wedge on the fold's tables, and the
-# graph it makes must be a core: a peel that also drops aab's last
-# vertex leaves the vertex before it hanging.
-real_peel = stallings._peel
-stallings._peel = lambda *args: real_peel(*args)[:-1] + [False]
+# build_subgroup takes the folded wedge as the core without peeling it,
+# and the graph it makes must be a core: a wedge with a pendant edge
+# added folds to a graph with a hanging vertex.
+real_wedge = stallings._wedge
+
+
+def pendant_wedge(code_words):
+    n, edges = real_wedge(code_words)
+    return n + 1, edges + [(1, n, 1)]
+
+
+stallings._wedge = pendant_wedge
 expect_certificate_error(
     "build_subgroup", lambda: stallings.build_subgroup([parse_word("aab", A2)], A2)
 )
-stallings._peel = real_peel
+stallings._wedge = real_wedge
 
 # A "no" from the cycle search is re-checked by a union-find: the two
 # splittings are equal, so every product of type graphs has a cycle.

@@ -144,6 +144,14 @@ class TestIso:
         code, out, err = run(["iso", "-n", "2"], graph + "\n" + graph)
         assert (code, out) == (2, "") and "repeated 'v' line" in err
 
+    def test_rank_above_26(self):
+        # -n names the generators a..z, so a larger rank is refused before
+        # any alphabet is built.
+        graphs = "v 1\nbase 0\n\nv 1\nbase 0\n"
+        assert run(["iso", "-n", "27"], graphs) == (2, "", "error: rank must be at most 26\n")
+        assert run(["iso", "-n", "26"], graphs) == (0, "true\n", "")
+        assert run(["reduce", "-n", "26", "zaAZz"]) == (0, "z\n", "")
+
     def test_negative_vertex_count(self):
         code, out, err = run(["iso", "-n", "2"], "v -1\n\nv -1\n")
         assert (code, out) == (2, "")

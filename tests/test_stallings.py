@@ -112,8 +112,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("texts", ["baB", "aa aaa", "a b", "abA bab", "1"])
     def test_builds_one_graph(self, monkeypatch, texts):
-        # The wedge is folded and the quotient peeled on the fold's
-        # tables, so the core is the only graph made.
+        # The folded wedge is already the core, so the quotient is the
+        # only graph made.
         built = []
         original = XDigraph.__post_init__
         monkeypatch.setattr(XDigraph, "__post_init__", lambda g: built.append(g) or original(g))

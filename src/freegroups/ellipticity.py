@@ -79,11 +79,11 @@ class FreeSplitting(object):
     constructs, and so checks, again, and a copy or a pickle round trip
     restores a certified splitting's fields.  The bases are stored as
     tuples.  Their sizes must add up to the rank n, and the combined
-    words must generate F: their wedge folds to the rose on the
-    alphabet.  That suffices.  F_n is Hopfian, so n words that generate it form a basis,
+    words must generate F: they fold to the rose on the alphabet.
+    That suffices.  F_n is Hopfian, so n words that generate it form a basis,
     and any subset of a basis freely generates the subgroup it spans.
     So A and B have ranks len(basis_a) and len(basis_b), and F = A * B.
-    The test reads the fold's vertex classes and builds no graph.  Each
+    The test reads the folded tables and builds no graph.  Each
     factor's subgroup and type graph are built on first use and kept
     in caches that are not fields, so they take no part in equality,
     hashing, the repr, asdict or astuple.
@@ -312,13 +312,15 @@ def primitive_in_intersection(
 def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     """An upper bound on the distance between the two splittings in the
     ellipticity graph: twice the number of elementary Nielsen moves
-    relating s2's combined basis to s1's.
+    relating s2's combined basis to s1's, plus 2 when the cuts differ:
+    the last splitting on that path then shares s2's whole basis.
 
-    Zero exactly when the bases agree as ordered tuples.  Both
-    certificates make s2's combined basis, carried over s1, a basis, so
-    it is decomposed without a second fold.
+    Zero exactly when the bases and the cuts agree.  Both certificates
+    make s2's combined basis, carried over s1, a basis, so it is
+    decomposed without a second fold.
     """
     _require_same_alphabet(s1, s2)
     moves = _rebase_moves(s1.alphabet, s1.combined)
     over_s1 = tuple([moves_apply_word_inverse(moves, u) for u in s2.combined])
-    return 2 * len(_decompose_basis(over_s1, s1.alphabet))
+    recut = len(s1.basis_a) != len(s2.basis_a)
+    return 2 * (len(_decompose_basis(over_s1, s1.alphabet)) + recut)

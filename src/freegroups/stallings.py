@@ -4,18 +4,21 @@ A graph here is a finite digraph whose edges are labeled by generator
 indices; traversing an edge against its direction reads the inverse
 letter.  A subgroup H of F(X) is carried by the folded core graph whose
 reduced base-to-base path labels are exactly the elements of H.  The
-main operations: building the graph from generators (wedge + fold +
-core), membership, intersection via the labeled product, conjugacy via
-type graphs, and extraction of a free basis from a spanning tree.
+main operations: building the graph from generators, membership,
+intersection via the labeled product, conjugacy via type graphs, and
+extraction of a free basis from a spanning tree.
 
-Each graph keeps one adjacency table, `XDigraph._arcs`: per vertex, its
-arcs (letter code, head, edge index), built from the edges once.
-Degrees, the folding test, the step index, reachability, cycle search
-and breadth-first trees all read it; a rebased copy (`with_base`) shares
-these tables.  `build_subgroup` makes one graph: the quotient of the
-wedge's edge list by the fold.  For freely reduced generators that
-quotient is already the core at the base, so no peel runs; `core`
-serves the other graphs, such as products.
+One kernel folds, `_add_arcs`: it adds arcs to a folded graph kept as
+per-vertex tables (letter code -> neighbour), identifying vertices
+where an arc's code is already taken.  `build_subgroup` and the
+generation test read each word in from the base along the arcs that
+exist, so most of the wedge is never made; `fold` pushes a graph's
+edges.  The folded graph of freely reduced generators is the core at
+the base, so no peel runs; `core` serves other graphs, such as
+products.  Each graph keeps one adjacency table, `XDigraph._arcs`:
+per vertex, its sorted arcs (letter code, head, edge index), bucketed
+from the edges once.  Degrees, the folding test, steps, reachability,
+cycles and breadth-first trees read it; `with_base` copies share it.
 
 Graphs are immutable after construction; all functions are pure.
 """
@@ -86,15 +89,11 @@ class XDigraph(object):
     def _arcs(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         # Per vertex, its arcs (letter code, head, edge index) in sorted
         # order: an edge labelled l reads code 2l forwards, 2l + 1 back.
-        flat = []
-        for eid, (o, t, l) in enumerate(self.edges):
-            flat.append((o, 2 * l, t, eid))
-            flat.append((t, 2 * l + 1, o, eid))
-        flat.sort()
         lists: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
-        for v, k, head, eid in flat:
-            lists[v].append((k, head, eid))
-        return tuple(map(tuple, lists))
+        for eid, (o, t, l) in enumerate(self.edges):
+            lists[o].append((2 * l, t, eid))
+            lists[t].append((2 * l + 1, o, eid))
+        return tuple([tuple(sorted(arcs)) for arcs in lists])
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
@@ -184,73 +183,61 @@ def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:
     return XDigraph(g.rank, len(keep_sorted), edges, new_base)
 
 
-def _fold_classes(
-    vertex_count: int, edges: Iterable[tuple[int, int, int]]
-) -> tuple[list[int], list]:
-    """Which vertices Stallings folding identifies, read off the edge
-    triples alone: (leader, out), where leader[v] is the smallest vertex
-    of v's class, and out[u] is the out-table (label -> a member of the
-    far class) of the class u leads; an absorbed vertex's is None.
+def _find(alias: dict[int, int], v: int) -> int:
+    """The live vertex that absorbed v, halving the alias chain."""
+    while v in alias:
+        up = alias[v]
+        alias[v] = v = alias.get(up, up)
+    return v
 
-    Worklist folding (Touikan 2006; Kapovich-Myasnikov 2002): every
-    class keeps an out-table and an in-table label -> vertex, and a stack
-    holds the vertex pairs still to be identified.  A union moves the
-    absorbed class's tables into the leader's and pushes each label
-    clash this creates, so a merge costs O(rank) and the whole fold is
-    near-linear.  The classes do not depend on merge order.  On a wedge
-    of loops reading freely reduced words the quotient by the classes
-    is already the core at the base, so `build_subgroup` peels nothing.
-    """
-    parent = list(range(vertex_count))
-    out = [{} for _ in range(vertex_count)]  # label -> terminus
-    inn = [{} for _ in range(vertex_count)]  # label -> origin
-    pending: list[tuple[int, int]] = []
-    for o, t, l in edges:
-        far = out[o].setdefault(l, t)
-        if far != t:
-            pending.append((far, t))
-        far = inn[t].setdefault(l, o)
-        if far != o:
-            pending.append((far, o))
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]  # path halving
-        return v
-
-    while pending:
-        a, b = pending.pop()
-        leader, absorbed = find(a), find(b)
-        if leader == absorbed:
+def _add_arcs(adj: list, alias: dict[int, int], work: list[tuple[int, int, int]]) -> None:
+    """Add the arcs (u, code, x) of `work` to the folded graph `adj` and
+    fold again (Stallings 1983; Kapovich-Myasnikov 2002).  adj[v] maps a
+    code to v's one neighbour along it, beside each arc its reverse (x,
+    code ^ 1, u); an absorbed vertex's entry is None, and `alias` maps it
+    to its absorber.  An arc whose code is taken at u, or its reverse's
+    at x, identifies two vertices: the larger's arcs leave its
+    neighbours and are pushed again from the smaller.  So each class
+    keeps its least member, a merge costs O(rank), and the classes do
+    not depend on the order of the work."""
+    while work:
+        u, c, x = work.pop()
+        u, x = _find(alias, u), _find(alias, x)
+        y = adj[u].get(c)
+        if y is None:
+            y = adj[x].get(c ^ 1)
+            if y is None:
+                adj[u][c] = x
+                adj[x][c ^ 1] = u
+                continue
+            x = u  # the arc closes onto y's arc: u and y are one vertex
+        if x == y:
             continue
-        if absorbed < leader:
-            leader, absorbed = absorbed, leader
-        parent[absorbed] = leader
-        for table in (out, inn):
-            mine = table[leader]
-            for l, v in table[absorbed].items():
-                far = mine.setdefault(l, v)
-                if far != v:
-                    pending.append((far, v))
-            table[absorbed] = None
-    return [find(v) for v in range(vertex_count)], out
+        keep, gone = min(x, y), max(x, y)
+        arcs, adj[gone], alias[gone] = adj[gone], None, keep
+        for d, w in arcs.items():
+            if w != gone:
+                del adj[w][d ^ 1]
+            work.append((keep, d, w))
 
 
-def _quotient(rank: int, leader: Sequence[int], edges: Iterable, base: int | None) -> XDigraph:
-    """The graph with each class of `leader` made one vertex, numbered in
-    the order of their smallest members; parallel duplicates collapse."""
-    index: dict[int, int] = {}
-    # A leader is the first member of its class that the scan meets.
-    new = [index.setdefault(r, len(index)) for r in leader]
-    folded = {(new[o], new[t], l) for o, t, l in edges}
-    return XDigraph(rank, len(index), tuple(folded), None if base is None else new[base])
+def _graph(rank: int, adj: list, base: int | None) -> XDigraph:
+    """The graph on the live vertices of `adj`, numbered densely in index
+    order; `base` is live or None."""
+    live = [v for v, arcs in enumerate(adj) if arcs is not None]
+    new = {v: i for i, v in enumerate(live)} if len(live) < len(adj) else range(len(adj))
+    edges = [(new[v], new[w], c >> 1) for v in live for c, w in adj[v].items() if not c & 1]
+    return XDigraph(rank, len(live), tuple(edges), None if base is None else new[base])
 
 
 def fold(g: XDigraph) -> XDigraph:
     """Merge edges with equal label and a shared endpoint until folded.
     Vertices are numbered by their class's smallest original index."""
-    leader, _ = _fold_classes(g.vertex_count, g.edges)
-    return _quotient(g.rank, leader, g.edges, g.base)
+    adj: list = [{} for _ in range(g.vertex_count)]
+    alias: dict[int, int] = {}
+    _add_arcs(adj, alias, [(o, 2 * l, t) for o, t, l in g.edges])
+    return _graph(g.rank, adj, None if g.base is None else _find(alias, g.base))
 
 
 def _peel(g: XDigraph, keep: int | None) -> list[bool]:
@@ -333,51 +320,62 @@ class Subgroup(object):
         return not self.graph.edges
 
 
-def _wedge(code_words: Iterable[Sequence[int]]) -> tuple[int, list[tuple[int, int, int]]]:
-    """The wedge of subdivided loops, one per nontrivial code word, at
-    base vertex 0: (vertex count, edge triples)."""
-    edges: list[tuple[int, int, int]] = []
-    n_vertices = 1
+def _read(code_words: Iterable[Sequence[int]]) -> tuple[list, dict[int, int]]:
+    """The folded graph of the code words at base 0, as (adj, alias).
+
+    Each word follows the arcs that exist from 0, adds a vertex only
+    where none does, and links its last letter back to 0.  Vertices are
+    made in wedge order, and each class's smallest wedge vertex is made,
+    so the live vertices number the classes as folding the wedge would.
+    """
+    adj: list = [{}]
+    alias: dict[int, int] = {}
     for codes in code_words:
         if not codes:
             continue
-        path = [0, *range(n_vertices, n_vertices + len(codes) - 1), 0]
-        n_vertices += len(codes) - 1
-        for prev, nxt, c in zip(path, path[1:], codes):
-            edges.append((nxt, prev, c >> 1) if c & 1 else (prev, nxt, c >> 1))
-    return n_vertices, edges
+        v = 0
+        for c in codes[:-1]:
+            w = adj[v].get(c)
+            if w is None:
+                w = adj[v][c] = len(adj)
+                adj.append({c ^ 1: v})
+            v = w
+        _add_arcs(adj, alias, [(v, codes[-1], 0)])
+    return adj, alias
 
 
 def _generates(code_words: Sequence[Sequence[int]], rank: int) -> bool:
     """Do the code words generate the free group of the rank?  Exactly
-    when their wedge folds to the rose.  A folded connected graph has at
-    most one arc per code at each vertex, so it is the rose when it has
-    one vertex and that vertex's out-table holds all `rank` labels.  No
-    graph is built."""
-    n_vertices, edges = _wedge(code_words)
-    leader, out = _fold_classes(n_vertices, edges)
-    return len(out[0]) == rank and not any(leader)
+    when they fold to the rose: one vertex with all 2 * rank codes."""
+    adj, alias = _read(code_words)
+    return len(adj) - len(alias) == 1 and len(adj[0]) == 2 * rank
 
 
 def build_subgroup(generators: Sequence[Word], alphabet: Alphabet) -> Subgroup:
-    """Wedge subdivided generator loops at a base and fold; the folded
-    wedge is the core, so no peel runs and it is the one graph made.
+    """Read the generators into one folded graph at base 0; it is the
+    core, so no peel runs and it is the one graph made.
 
-    Every edge of the folded wedge is the image of an edge on some
+    Every edge of the folded graph is the image of an edge on some
     generator loop, and that loop reads a freely reduced word, which in
     a folded graph labels a path without backtracking.  So each edge
     lies on a reduced closed path at the base, and every vertex but the
     base has degree at least two (Stallings 1983).  Vertex 0, the base,
     leads its class.  `Subgroup` re-checks folded, connected and core,
     and a failure there is the library's defect.
+
+    >>> A, a = Alphabet.of_rank(1), Letter(0, 1)
+    >>> h = build_subgroup([Word(A, [a] * 3), Word(A, [a] * 4)], A)
+    >>> print(graph_to_text(h.graph, A), end="")
+    v 1
+    base 0
+    e 0 0 a
     """
     for w in generators:
         if w.alphabet != alphabet:
             raise AlphabetMismatchError("generator over a different alphabet")
-    n_vertices, edges = _wedge([w.codes for w in generators])
-    leader, _ = _fold_classes(n_vertices, edges)
+    adj, _ = _read([w.codes for w in generators])
     try:
-        return Subgroup(_quotient(alphabet.rank, leader, edges, 0), alphabet)
+        return Subgroup(_graph(alphabet.rank, adj, 0), alphabet)
     except ValueError as exc:
         raise CertificateError("build_subgroup made a graph that is not a core: %s" % exc) from None
 

@@ -23,7 +23,11 @@ library's graph type, `path_word` and the Nielsen move list;
 `tests/test_kernel_differential.py` asserts that the library returns
 exactly what they return.  The rose test reads the whole core graph
 that build_subgroup returns, as the generation test did before it
-stopped at the fold.
+stopped at the fold.  The last group is the kernel that build_subgroup,
+the generation test and fold ran before they read words into a folded
+graph: the wedge of subdivided loops, a union-find fold of its edge
+list and the quotient by its classes, and the arc table made by one
+sort of all arcs.
 """
 
 from __future__ import annotations
@@ -450,3 +454,104 @@ def signed_join(u, v):
     while k < n and u[-1 - k] == -v[k]:
         k += 1
     return u[: len(u) - k] + v[k:]
+
+
+
+def wedge_edges(code_words):
+    """The wedge of subdivided loops, one per nontrivial code word, at
+    base vertex 0: (vertex count, edge triples)."""
+    edges = []
+    n_vertices = 1
+    for codes in code_words:
+        if not codes:
+            continue
+        path = [0, *range(n_vertices, n_vertices + len(codes) - 1), 0]
+        n_vertices += len(codes) - 1
+        for prev, nxt, c in zip(path, path[1:], codes):
+            edges.append((nxt, prev, c >> 1) if c & 1 else (prev, nxt, c >> 1))
+    return n_vertices, edges
+
+
+def fold_classes(vertex_count, edges):
+    """(leader, out): leader[v] is the smallest vertex of v's fold class,
+    and out[u] the out-table (label -> a member of the far class) of the
+    class u leads, None for an absorbed vertex.  Worklist union-find:
+    a union moves the absorbed class's out- and in-tables into the
+    leader's and pushes each label clash it creates."""
+    parent = list(range(vertex_count))
+    out = [{} for _ in range(vertex_count)]
+    inn = [{} for _ in range(vertex_count)]
+    pending = []
+    for o, t, l in edges:
+        far = out[o].setdefault(l, t)
+        if far != t:
+            pending.append((far, t))
+        far = inn[t].setdefault(l, o)
+        if far != o:
+            pending.append((far, o))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    while pending:
+        a, b = pending.pop()
+        leader, absorbed = find(a), find(b)
+        if leader == absorbed:
+            continue
+        if absorbed < leader:
+            leader, absorbed = absorbed, leader
+        parent[absorbed] = leader
+        for table in (out, inn):
+            mine = table[leader]
+            for l, v in table[absorbed].items():
+                far = mine.setdefault(l, v)
+                if far != v:
+                    pending.append((far, v))
+            table[absorbed] = None
+    return [find(v) for v in range(vertex_count)], out
+
+
+def quotient(rank, leader, edges, base):
+    """The graph with each class of `leader` made one vertex, numbered in
+    the order of their smallest members; parallel duplicates collapse."""
+    index = {}
+    new = [index.setdefault(r, len(index)) for r in leader]
+    folded = {(new[o], new[t], l) for o, t, l in edges}
+    return XDigraph(rank, len(index), tuple(folded), None if base is None else new[base])
+
+
+def union_find_fold(g):
+    """fold as the union-find kernel and the quotient computed it."""
+    leader, _ = fold_classes(g.vertex_count, g.edges)
+    return quotient(g.rank, leader, g.edges, g.base)
+
+
+def wedge_subgroup(generators, alphabet):
+    """build_subgroup as the quotient of the folded wedge."""
+    n_vertices, edges = wedge_edges([w.codes for w in generators])
+    leader, _ = fold_classes(n_vertices, edges)
+    return Subgroup(quotient(alphabet.rank, leader, edges, 0), alphabet)
+
+
+def wedge_generates(code_words, rank):
+    """_generates on the union-find classes: the rose has one class and
+    all `rank` labels in its out-table."""
+    n_vertices, edges = wedge_edges(code_words)
+    leader, out = fold_classes(n_vertices, edges)
+    return len(out[0]) == rank and not any(leader)
+
+
+def flat_sorted_arcs(g):
+    """XDigraph._arcs by one sort of all 2E (vertex, code, head, edge
+    index) tuples, split by vertex."""
+    flat = []
+    for eid, (o, t, l) in enumerate(g.edges):
+        flat.append((o, 2 * l, t, eid))
+        flat.append((t, 2 * l + 1, o, eid))
+    flat.sort()
+    lists = [[] for _ in range(g.vertex_count)]
+    for v, k, head, eid in flat:
+        lists[v].append((k, head, eid))
+    return tuple(map(tuple, lists))

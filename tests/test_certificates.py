@@ -65,22 +65,24 @@ expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
 )
 
-# build_subgroup takes the folded wedge as the core without peeling it,
-# and the graph it makes must be a core: a wedge with a pendant edge
-# added folds to a graph with a hanging vertex.
-real_wedge = stallings._wedge
+# build_subgroup takes the graph its words fold to as the core without
+# peeling it, and the graph it makes must be a core: a folded graph with
+# a pendant b-edge added has a hanging vertex.
+real_read = stallings._read
 
 
-def pendant_wedge(code_words):
-    n, edges = real_wedge(code_words)
-    return n + 1, edges + [(1, n, 1)]
+def pendant_read(code_words):
+    adj, alias = real_read(code_words)
+    adj[1][2] = len(adj)
+    adj.append({3: 1})
+    return adj, alias
 
 
-stallings._wedge = pendant_wedge
+stallings._read = pendant_read
 expect_certificate_error(
     "build_subgroup", lambda: stallings.build_subgroup([parse_word("aab", A2)], A2)
 )
-stallings._wedge = real_wedge
+stallings._read = real_read
 
 # A "no" from the cycle search is re-checked by a union-find: the two
 # splittings are equal, so every product of type graphs has a cycle.

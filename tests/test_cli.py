@@ -210,6 +210,8 @@ class TestSplittingCommands:
             "",
         )
         assert run(["nielsen-bound", "-n", "2", "split a | b", "split a | b"])[1] == "0\n"
+        # One basis cut at two places gives two splittings at distance two.
+        assert run(["nielsen-bound", "-n", "3", "split a | b c", "split a b | c"])[1] == "2\n"
 
     # Both splittings verify, but their combined basis lies beyond the
     # search budget, so the Nielsen reduction gives the bound.

@@ -453,6 +453,13 @@ class TestNielsenBound:
         assert nielsen_bound(split("a | b"), split("b | a")) > 0
         assert nielsen_bound(split("ab | b"), split("a | b")) > 0
 
+    def test_different_cuts_of_one_basis(self):
+        # The bases agree, but a is elliptic in both splittings and they
+        # differ, so they lie at distance two.
+        s1, s2 = split("a | b c", A3), split("a b | c", A3)
+        assert splittings_distance_two(s1, s2).decision
+        assert nielsen_bound(s1, s2) == nielsen_bound(s2, s1) == 2
+
     def test_even_and_bounded(self):
         rng = random.Random(101)
         base = split("a | b")
@@ -486,7 +493,7 @@ class TestNielsenBound:
 
         # Every fold, and so every generation test, runs the one kernel.
         monkeypatch.setattr(whitehead, "_generates", refold)
-        monkeypatch.setattr(stallings, "_fold_classes", refold)
+        monkeypatch.setattr(stallings, "_add_arcs", refold)
         assert [nielsen_bound(s1, s2) for s1, s2 in pairs] == expected
         # Both hooks are live: a decomposition and a verification do fold.
         with pytest.raises(AssertionError, match="folded"):

@@ -51,6 +51,7 @@ from freegroups.words import (
     _join,
     _least_rotation_start,
     _parse_codes,
+    _reduce,
     concat,
     cyclic_reduce,
     format_letters,
@@ -180,23 +181,93 @@ class TestArcTable:
             assert g._walk(0, word.codes) == v
 
 
+@st.composite
+def absorbed_bases(draw):
+    """Arbitrary digraphs whose base is not the least vertex of its fold
+    class: two more edges with one origin and label end at the base and
+    at a smaller vertex."""
+    g = draw(digraphs().filter(lambda g: g.vertex_count > 1))
+    base = draw(st.integers(1, g.vertex_count - 1))
+    other, origin = draw(st.integers(0, base - 1)), draw(st.integers(0, g.vertex_count - 1))
+    label = draw(st.integers(0, g.rank - 1))
+    extra = ((origin, base, label), (origin, other, label))
+    return XDigraph(g.rank, g.vertex_count, g.edges + extra, base)
+
+
+def long_word(rng, rank, length):
+    """A random freely reduced code word of the given length."""
+    codes = [rng.randrange(2 * rank)]
+    while len(codes) < length:
+        c = rng.randrange(2 * rank)
+        if c != codes[-1] ^ 1:
+            codes.append(c)
+    return codes
+
+
+@st.composite
+def heavy_generators(draw, alphabet):
+    """Long heavy-folding generator lists: x^n x^(n+1) with n in the
+    hundreds, short words under a conjugator of hundreds of letters, and
+    words behind a shared prefix of hundreds of letters."""
+    rank = alphabet.rank
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(100, 400))
+    short = [long_word(rng, rank, rng.randrange(1, 9)) for _ in range(draw(st.integers(1, 3)))]
+    family = draw(st.sampled_from(("powers", "conjugator", "prefix")))
+    if family == "powers":
+        x = [rng.randrange(2 * rank)]
+        codes = [x * n, x * (n + 1)]
+    elif family == "conjugator":
+        c = long_word(rng, rank, n)
+        codes = [c + w + [k ^ 1 for k in reversed(c)] for w in short]
+    else:
+        p = long_word(rng, rank, n)
+        codes = [p + w for w in short]
+    return [Word._of(alphabet, _reduce(w)) for w in codes]
+
+
+def rank_and(strategy):
+    """(alphabet, a draw of strategy(alphabet)) at ranks 1-3."""
+    return st.sampled_from((1, 2, 3)).flatmap(
+        lambda r: st.tuples(st.just(Alphabet.of_rank(r)), strategy(Alphabet.of_rank(r))))
+
+
 class TestFold:
+    """Reading words into a folded graph, and pushing a graph's edges
+    into it, give what the union-find fold of the wedge or of the edge
+    list gave, vertex numbers included."""
+
     @settings(max_examples=200, deadline=None)
     @given(digraphs())
     def test_arbitrary_digraphs(self, g):
-        assert fold(g) == oracle.fold(g)
+        assert fold(g) == oracle.fold(g) == oracle.union_find_fold(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(absorbed_bases())
+    def test_absorbed_base(self, g):
+        assert fold(g) == oracle.fold(g) == oracle.union_find_fold(g)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from((1, 2, 3)).flatmap(
-        lambda r: st.tuples(st.just(Alphabet.of_rank(r)), generators(Alphabet.of_rank(r), 60))))
+    @given(rank_and(lambda a: generators(a, 60)))
     def test_generator_wedges(self, case):
         alphabet, gens = case
         g = wedge(gens, alphabet)
-        assert fold(g) == oracle.fold(g)
+        assert fold(g) == oracle.fold(g) == oracle.union_find_fold(g)
         folded = oracle.fold(g)
         # The folded wedge of reduced words is its own core at the base.
         assert folded == oracle.core(folded, folded.base)
         assert build_subgroup(gens, alphabet).graph == folded
+        assert oracle.wedge_subgroup(gens, alphabet).graph == folded
+
+    @settings(max_examples=60, deadline=None)
+    @given(rank_and(heavy_generators))
+    def test_heavy_words(self, case):
+        alphabet, gens = case
+        expected = oracle.wedge_subgroup(gens, alphabet).graph
+        assert build_subgroup(gens, alphabet).graph == expected
+        assert fold(wedge(gens, alphabet)) == expected
+        codes = [w.codes for w in gens]
+        assert _generates(codes, alphabet.rank) == oracle.wedge_generates(codes, alphabet.rank)
 
 
 @st.composite
@@ -229,7 +300,9 @@ class TestGeneration:
         alphabet, words, known = case
         expected = oracle.is_rose(build_subgroup(words, alphabet))
         assert known is None or expected == known
-        assert _generates([w.codes for w in words], alphabet.rank) == expected
+        codes = [w.codes for w in words]
+        assert _generates(codes, alphabet.rank) == expected
+        assert oracle.wedge_generates(codes, alphabet.rank) == expected
 
 
 class TestPeeling:
@@ -265,6 +338,11 @@ class TestArcs:
     def test_arcs_from(self, g):
         for v in range(g.vertex_count):
             assert g.arcs_from(v) == tuple(oracle.arcs_from(g, v))
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs())
+    def test_bucketed_arc_table(self, g):
+        assert g._arcs == oracle.flat_sorted_arcs(g)
 
 
 class TestConjugacySearch:

@@ -13,6 +13,10 @@ Also here: a primitive element in the intersection of two free factors
 (the intersection of free factors is again a free factor, so any basis
 element of it is primitive), and the Nielsen upper bound 2m on the
 splitting distance, where m counts elementary moves relating the bases.
+Both rebase by the automorphism φ sending the standard letters to a
+splitting's combined basis, kept as the letters' images under φ and
+φ⁻¹, so a rebased word is one substitution.  Every answer is re-checked
+by an explicit raise of CertificateError, which `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .stallings import (
     _find_cycle,
     _generates,
     build_subgroup,
+    contains,
     contains_conjugate,
     intersect,
     product,
@@ -35,12 +40,14 @@ from .stallings import (
     type_graph,
 )
 from .whitehead import (
+    NielsenTransformation,
     PairClass,
     _decompose_basis,
+    _free_image,
+    _Images,
+    apply_nielsen,
     classify_pair,
     minimize_tuple,
-    moves_apply_word,
-    moves_apply_word_inverse,
     standard_basis,
 )
 from .words import (
@@ -49,6 +56,7 @@ from .words import (
     CyclicWord,
     TrivialWordError,
     Word,
+    _inverse,
     cyclic_reduce,
     letter_support,
 )
@@ -118,18 +126,20 @@ class FreeSplitting(object):
     def combined(self) -> tuple[Word, ...]:
         return self.basis_a + self.basis_b
 
-    def basis(self, which: int) -> tuple[Word, ...]:
-        return self.basis_a if which == 0 else self.basis_b
+    def basis(self, which: "int | str") -> tuple[Word, ...]:
+        return self.basis_b if factor_index(which) else self.basis_a
 
-    def factor(self, which: int) -> Subgroup:
-        if which not in self._factors:
-            self._factors[which] = build_subgroup(list(self.basis(which)), self.alphabet)
-        return self._factors[which]
+    def factor(self, which: "int | str") -> Subgroup:
+        i = factor_index(which)
+        if i not in self._factors:
+            self._factors[i] = build_subgroup(list(self.basis(i)), self.alphabet)
+        return self._factors[i]
 
-    def _type_graph(self, which: int) -> XDigraph:
-        if which not in self._type_graphs:
-            self._type_graphs[which] = type_graph(self.factor(which))
-        return self._type_graphs[which]
+    def _type_graph(self, which: "int | str") -> XDigraph:
+        i = factor_index(which)
+        if i not in self._type_graphs:
+            self._type_graphs[i] = type_graph(self.factor(i))
+        return self._type_graphs[i]
 
     def __str__(self) -> str:
         return "split %s | %s" % (
@@ -190,7 +200,8 @@ def splittings_distance_two(
 
     An element lies in conjugates of factors H and K exactly when the
     product of their type graphs has a cycle; going once around the
-    first cycle found yields the witness.  A "no" is certified by
+    first cycle found yields the witness, which must be conjugate into
+    both factors whose type graphs gave it.  A "no" is certified by
     `_is_forest`, which shares no code with the cycle search.
     """
     _require_same_alphabet(s1, s2)
@@ -198,7 +209,11 @@ def splittings_distance_two(
         prod = product(s1._type_graph(i), s2._type_graph(j))
         found = _find_cycle(prod)
         if found is not None:
-            return EllipticityAnswer(True, CyclicWord._of(s1.alphabet, found[0]))
+            witness = CyclicWord._of(s1.alphabet, found[0])
+            w = witness.as_word()
+            if not (contains_conjugate(s1.factor(i), w) and contains_conjugate(s2.factor(j), w)):
+                raise CertificateError("the witness is not elliptic in the factors that gave it")
+            return EllipticityAnswer(True, witness)
         if not _is_forest(prod):
             raise CertificateError("the cycle search missed a cycle in a product of type graphs")
     return EllipticityAnswer(False)
@@ -272,11 +287,30 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
     return EllipticityAnswer(True, s)
 
 
+def _images(words: Sequence[Word]) -> _Images:
+    """The code images of the endomorphism sending letter g to words[g]."""
+    return tuple([image for w in words for image in (w.codes, _inverse(w.codes))])
+
+
+def _image(images: _Images, w: Word) -> Word:
+    return Word._of(w.alphabet, _free_image(images, w.codes))
+
+
 @lru_cache(maxsize=256)
-def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]):
-    # moves presenting the automorphism standard basis -> combined; the
-    # combined basis of a certified splitting needs no second fold
-    return tuple(_decompose_basis(combined, alphabet))
+def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]) -> tuple[_Images, _Images]:
+    """The letters' code images under the rebase φ, which sends them to a
+    certified splitting's combined basis, and under φ⁻¹: the standard
+    basis carried by φ's moves undone in reverse, where rmul(i, j) is
+    undone by inv(j), rmul(i, j), inv(j).  φ⁻¹ must send the basis back
+    to the letters, which proves it φ's inverse."""
+    inv = NielsenTransformation.invert
+    undone: list[NielsenTransformation] = []
+    for m in reversed(_decompose_basis(combined, alphabet)):
+        undone += [m] if m.is_inversion else [inv(m.source), m, inv(m.source)]
+    back = _images(apply_nielsen(undone, alphabet))
+    if any(_free_image(back, w.codes) != [2 * g] for g, w in enumerate(combined)):
+        raise CertificateError("the inverse rebase does not send the basis to the letters")
+    return _images(combined), back
 
 
 def primitive_in_intersection(
@@ -288,25 +322,27 @@ def primitive_in_intersection(
     """A primitive element of F inside H ∩ K, for the chosen factors H of
     s1 and K of s2.
 
-    Rebase through the automorphism sending the standard letters to s1's
-    combined basis, so that H becomes a coordinate sub-rose; then H ∩ K
-    is computed by the graph product, and any basis element of it is
-    primitive because an intersection of free factors is a free factor.
+    Rebase by φ⁻¹, φ as in `_rebase_moves`, so that H becomes a
+    coordinate sub-rose; then H ∩ K is computed by the graph product,
+    and any basis element of it is primitive because an intersection of
+    free factors is a free factor.  It must lie in both rebased factors
+    before φ maps it back.
     """
     _require_same_alphabet(s1, s2)
     alphabet = s1.alphabet
     i1, i2 = factor_index(factor1), factor_index(factor2)
-    moves = _rebase_moves(alphabet, s1.combined)
+    forward, back = _rebase_moves(alphabet, s1.combined)
     k = len(s1.basis_a)
     std = standard_basis(alphabet)
     sub_rose = build_subgroup(list(std[:k] if i1 == 0 else std[k:]), alphabet)
-    rebased_k = build_subgroup(
-        [moves_apply_word_inverse(moves, u) for u in s2.basis(i2)], alphabet
-    )
+    rebased_k = build_subgroup([_image(back, u) for u in s2.basis(i2)], alphabet)
     inter = intersect(sub_rose, rebased_k)
     if inter.is_trivial:
         raise TrivialIntersectionError("the chosen factors intersect trivially")
-    return moves_apply_word(moves, spanning_tree_basis(inter)[0])
+    x = spanning_tree_basis(inter)[0]
+    if not (contains(sub_rose, x) and contains(rebased_k, x)):
+        raise CertificateError("the intersection's basis element misses a rebased factor")
+    return _image(forward, x)
 
 
 def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
@@ -315,12 +351,12 @@ def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     relating s2's combined basis to s1's, plus 2 when the cuts differ:
     the last splitting on that path then shares s2's whole basis.
 
-    Zero exactly when the bases and the cuts agree.  Both certificates
-    make s2's combined basis, carried over s1, a basis, so it is
-    decomposed without a second fold.
+    Zero exactly when the bases and the cuts agree.  φ⁻¹ of
+    `_rebase_moves` carries s2's combined basis over s1; both certificates
+    make the result a basis, so it is decomposed without a second fold.
     """
     _require_same_alphabet(s1, s2)
-    moves = _rebase_moves(s1.alphabet, s1.combined)
-    over_s1 = tuple([moves_apply_word_inverse(moves, u) for u in s2.combined])
+    _, back = _rebase_moves(s1.alphabet, s1.combined)
+    over_s1 = tuple([_image(back, u) for u in s2.combined])
     recut = len(s1.basis_a) != len(s2.basis_a)
     return 2 * (len(_decompose_basis(over_s1, s1.alphabet)) + recut)

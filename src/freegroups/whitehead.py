@@ -75,7 +75,6 @@ from .words import (
     _inverse,
     _join,
     _least_rotation_start,
-    _reduce,
     _spelling,
     letter_support,
 )
@@ -666,20 +665,6 @@ class NielsenTransformation(object):
             out[self.target] = out[self.target] * out[self.source]
         return tuple(out)
 
-    def substitute(self, w: Word, inverse: bool = False) -> Word:
-        """Apply as an automorphism (or its inverse) by letter substitution."""
-        self._check_within(w.alphabet.rank, "an alphabet of rank %d")
-        out: list[int] = []
-        for c in w.codes:
-            if c >> 1 != self.target:
-                out.append(c)
-            elif self.source is None:
-                out.append(c ^ 1)
-            else:
-                tail = 2 * self.source + inverse
-                out.extend((tail ^ 1, c) if c & 1 else (c, tail))
-        return Word._of(w.alphabet, _reduce(out))
-
     def describe(self, alphabet: Alphabet) -> str:
         self._check_within(alphabet.rank, "an alphabet of rank %d")
         if self.source is None:
@@ -699,25 +684,6 @@ def apply_nielsen(
     for m in moves:
         words = m.apply(words)
     return words
-
-
-def moves_apply_word(
-    moves: Sequence[NielsenTransformation], w: Word
-) -> Word:
-    """Apply the automorphism the move list presents (the one sending the
-    standard basis to apply_nielsen(moves)) to a word."""
-    for m in reversed(moves):
-        w = m.substitute(w)
-    return w
-
-
-def moves_apply_word_inverse(
-    moves: Sequence[NielsenTransformation], w: Word
-) -> Word:
-    """Apply the inverse of the automorphism the move list presents."""
-    for m in moves:
-        w = m.substitute(w, inverse=True)
-    return w
 
 
 # A state of the Nielsen search: a basis, as a tuple of its words'

@@ -1,8 +1,9 @@
 """Reference implementations of the Stallings kernel, the degree,
 folding, component and cycle tests on graph edges, the conjugacy
 search, the least rotation, the application of a Whitehead automorphism,
-the Nielsen search and the Letter-keyed words, kept as test oracles for
-the fast paths that replaced them.
+the Nielsen search, the per-move replay of a Nielsen move list as an
+automorphism and the Letter-keyed words, kept as test oracles for the
+fast paths that replaced them.
 
 Each function is the straightforward version: degrees and is_folded
 pass over the edges, is_folded with a seen-set per direction;
@@ -14,7 +15,9 @@ edge, the conjugacy search tries every rotation at every vertex and
 the least rotation compares all n rotations; a Whitehead automorphism
 rewrites `Letter`s one by one, then reduces, cyclically reduces and
 rotates in full; the Nielsen search keys its states by (gen, sign)
-pairs and reduces every product in full; the parser reads every
+pairs and reduces every product in full; a move list acts on a word by
+one letter substitution per move, where the rebase substitutes the
+image words of the automorphism once; the parser reads every
 character by its case.  Words are tuples of `Letter`s, checked,
 reduced and rotated letter by letter, as `Word` and `CyclicWord` were
 before they stored vertex codes; the Nielsen search's words are signed
@@ -36,7 +39,7 @@ import string
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
 from freegroups.whitehead import _elementary_moves
-from freegroups.words import Letter, Word, WordFormatError
+from freegroups.words import Letter, Word, WordFormatError, free_reduce
 
 
 def restrict(g, keep, base):
@@ -388,6 +391,40 @@ def bidirectional_search(target_key, rank, node_budget):
         else:
             frontier_b = fresh
     return None
+
+
+def substitute(move, w, inverse=False):
+    """A Nielsen move applied to a word as an automorphism, or as its
+    inverse, by letter substitution: inv(i) inverts letter i, and
+    rmul(i, j) sends letter i to i j, or to i j^-1 for the inverse."""
+    rank = w.alphabet.rank
+    if max(move.target, move.source or 0) >= rank:
+        raise ValueError("Nielsen move %r outside an alphabet of rank %d" % (move, rank))
+    out = []
+    for l in w.letters:
+        if l.gen != move.target:
+            out.append(l)
+        elif move.source is None:
+            out.append(l.inverse())
+        else:
+            tail = Letter(move.source, -1 if inverse else 1)
+            out.extend((tail.inverse(), l) if l.sign < 0 else (l, tail))
+    return free_reduce(out, w.alphabet)
+
+
+def moves_apply_word(moves, w):
+    """The automorphism the move list presents, the one sending the
+    standard basis to apply_nielsen(moves), applied to a word."""
+    for m in reversed(moves):
+        w = substitute(m, w)
+    return w
+
+
+def moves_apply_word_inverse(moves, w):
+    """The inverse of the automorphism the move list presents."""
+    for m in moves:
+        w = substitute(m, w, inverse=True)
+    return w
 
 
 def check_letters(letters, rank):

@@ -92,7 +92,34 @@ split = ellipticity.FreeSplitting(A2, (parse_word("a", A2),), (parse_word("b", A
 expect_certificate_error(
     "splittings_distance_two", lambda: ellipticity.splittings_distance_two(split, split)
 )
+
+# A "yes" witness must be conjugate into the two factors that gave it:
+# ab lies in no conjugate of <a> or <b>.
+ellipticity._find_cycle = lambda g: ((0, 2), 0)
+expect_certificate_error(
+    "splittings_distance_two witness",
+    lambda: ellipticity.splittings_distance_two(split, split),
+)
 ellipticity._find_cycle = real_find_cycle
+
+# The rebase's inverse images must send the combined basis back to the
+# standard letters: identity images do not undo ab -> a.
+ab_b = ellipticity.FreeSplitting(A2, (parse_word("ab", A2),), (parse_word("b", A2),))
+real_apply_nielsen = ellipticity.apply_nielsen
+ellipticity.apply_nielsen = lambda moves, alphabet: whitehead.standard_basis(alphabet)
+ellipticity._rebase_moves.cache_clear()
+expect_certificate_error("_rebase_moves", lambda: ellipticity.nielsen_bound(ab_b, split))
+ellipticity.apply_nielsen = real_apply_nielsen
+ellipticity._rebase_moves.cache_clear()
+
+# The primitive element must lie in both rebased factors: b is not in <a>.
+real_basis = ellipticity.spanning_tree_basis
+ellipticity.spanning_tree_basis = lambda h: (parse_word("b", A2),)
+expect_certificate_error(
+    "primitive_in_intersection",
+    lambda: ellipticity.primitive_in_intersection(split, "A", split, "A"),
+)
+ellipticity.spanning_tree_basis = real_basis
 
 # A splitting certifies itself at construction.
 try:
@@ -125,5 +152,8 @@ def test_certificate_checks_survive_optimized_mode():
         "equal_length_orbit raised",
         "build_subgroup raised",
         "splittings_distance_two raised",
+        "splittings_distance_two witness raised",
+        "_rebase_moves raised",
+        "primitive_in_intersection raised",
         "FreeSplitting raised: combined basis words do not generate F",
     ]

@@ -1,4 +1,9 @@
+import os
+import shlex
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -296,3 +301,44 @@ class TestConcurrentRuns:
         b.join(10)
         assert not a.is_alive() and not b.is_alive()
         assert results == {"a": (0, "ab\n", ""), "b": (0, "bA\n", "")}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ fgt ...` line of README's "Command line"
+    block; the lines after a command, up to the next one, are its output."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            argv = shlex.split(line[2:])
+            assert argv[0] == "fgt", line
+            examples.append((argv[1:], ""))
+        else:
+            argv, out = examples[-1]
+            examples[-1] = (argv, out + line + "\n")
+    return examples
+
+
+README_EXAMPLES = readme_examples()
+
+
+@pytest.mark.parametrize("argv, stdout", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES])
+def test_readme_command_line_examples(argv, stdout):
+    # A boolean "no" exits 1, every other answer 0.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-m", "freegroups.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    expected_code = 1 if stdout in ("false\n", "no\n") else 0
+    assert (done.stdout, done.returncode, done.stderr) == (stdout, expected_code, "")
+
+
+def test_readme_lists_the_rebase_examples():
+    commands = [argv[0] for argv, _ in README_EXAMPLES]
+    assert len(commands) >= 8 and {"prim-intersect", "nielsen-bound"} <= set(commands)

@@ -1,4 +1,5 @@
-"""The examples in the library's docstrings run and hold."""
+"""The examples in the library's docstrings run and hold, and every name
+the package exports exists."""
 
 import doctest
 import importlib
@@ -17,3 +18,9 @@ MODULES = sorted(
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
+
+
+def test_every_exported_name_resolves():
+    # A name deleted from the library must leave the package's __all__ too.
+    assert [name for name in freegroups.__all__ if not hasattr(freegroups, name)] == []
+    assert len(set(freegroups.__all__)) == len(freegroups.__all__)

@@ -4,6 +4,7 @@ import itertools
 import pickle
 import random
 
+import kernel_oracles as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -36,7 +37,6 @@ from freegroups.whitehead import (
     enumerate_relabelings,
     enumerate_whitehead,
     is_primitive,
-    moves_apply_word,
     nielsen_decompose,
 )
 from freegroups.words import (
@@ -69,14 +69,14 @@ def split(text, alphabet=A2):
 
 def transform_splitting(moves, s):
     return verify_splitting(
-        [moves_apply_word(moves, w) for w in s.basis_a],
-        [moves_apply_word(moves, w) for w in s.basis_b],
+        [oracle.moves_apply_word(moves, w) for w in s.basis_a],
+        [oracle.moves_apply_word(moves, w) for w in s.basis_b],
         s.alphabet,
     )
 
 
 def transform_cyclic(moves, w):
-    return CyclicWord.from_word(moves_apply_word(moves, w.as_word()))
+    return CyclicWord.from_word(oracle.moves_apply_word(moves, w.as_word()))
 
 
 def random_moves(rng, rank, count):
@@ -169,6 +169,22 @@ class TestSplittingCaches:
         for i in (0, 1):
             assert s.factor(i) is s.factor(i)
             assert s.factor(i) == build_subgroup(list(s.basis(i)), A2)
+
+    def test_selectors_name_one_factor(self):
+        # Every selector that primitive_in_intersection accepts picks the
+        # same factor, and shares its cache entry; any other is refused.
+        s = split("ab | b")
+        assert s.factor("A") is s.factor(0) is s.factor("a")
+        assert s.factor("B") is s.factor(1) is s.factor("b")
+        assert s._type_graph("A") is s._type_graph(0)
+        assert s.basis("A") == s.basis(0) == s.basis_a
+        assert s.basis("b") == s.basis(1) == s.basis_b
+        assert set(s._factors) == {0, 1} and set(s._type_graphs) == {0}
+        for bad in (2, 7, "C", -1):
+            with pytest.raises(ValueError, match="factor selector"):
+                s.factor(bad)
+            with pytest.raises(ValueError, match="factor selector"):
+                s.basis(bad)
 
     @settings(max_examples=100, deadline=None)
     @given(verified_splittings())

@@ -1,7 +1,8 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
 rotation, the code kernel that applies Whitehead automorphisms, the
-Nielsen search, the parser and the code-backed words returns exactly
-what the code it replaced returns (the oracles in `kernel_oracles.py`)."""
+Nielsen search, the rebase by image tuples, the parser and the
+code-backed words returns exactly what the code it replaced returns (the
+oracles in `kernel_oracles.py`)."""
 
 import random
 import sys
@@ -11,7 +12,7 @@ import kernel_oracles as oracle
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freegroups import whitehead
+from freegroups import ellipticity, whitehead
 from freegroups.cli import run
 from freegroups.stallings import (
     NotFoldedError,
@@ -614,6 +615,24 @@ class TestNielsenSearch:
         joined = Word._of(alphabet, _join(u.codes, v.codes)).letters
         expected = oracle.signed_join(oracle.signed_code(u.letters), oracle.signed_code(v.letters))
         assert oracle.signed_code(joined) == expected
+
+
+class TestRebaseImages:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_image_tuples_match_the_move_replay(self, data):
+        # The rebase sends the standard letters to apply_nielsen(moves).
+        # Its image tuples come from the moves that _decompose_basis
+        # finds, but the automorphism and its inverse are fixed by the
+        # basis, so they agree with replaying the drawn moves one letter
+        # substitution at a time.
+        rank = data.draw(st.integers(2, 4))
+        alphabet = Alphabet.of_rank(rank)
+        moves = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=8))
+        forward, back = ellipticity._rebase_moves(alphabet, apply_nielsen(moves, alphabet))
+        w = free_reduce(data.draw(st.lists(letters(rank), max_size=12)), alphabet)
+        assert ellipticity._image(forward, w) == oracle.moves_apply_word(moves, w)
+        assert ellipticity._image(back, w) == oracle.moves_apply_word_inverse(moves, w)
 
 
 def parsed(text, alphabet, parse):

@@ -389,30 +389,37 @@ def contains(h: Subgroup, w: Word) -> bool:
 
 def contains_conjugate(h: Subgroup, w: Word) -> bool:
     """Is some conjugate of w an element of h?"""
-    return conjugator_into(h, w) is not None
+    return _closing_vertex(h, w) is not None
 
 
 def conjugator_into(h: Subgroup, w: Word) -> "Word | None":
-    """A word x with x w x^-1 in h, or None if no conjugate of w lies in h.
+    """A word x with x w x^-1 in h, or None if no conjugate of w lies in
+    h: for w = s r s^-1, the base-to-u path label, then s^-1."""
+    u = _closing_vertex(h, w)
+    if u is None:
+        return None
+    strip = Word._of(w.alphabet, w.codes[: _conjugator_length(w.codes)])
+    return path_word(h.graph, h.base, u, h.alphabet) * ~strip
 
-    Write w = s r s^-1 with r cyclically reduced.  A conjugate of w lies
-    in h exactly when r closes up at some vertex u of the core graph:
+
+def _closing_vertex(h: Subgroup, w: Word) -> int | None:
+    """A vertex u of h's core graph where r closes up, for w = s r s^-1
+    with r cyclically reduced (the base when r is empty), or None.  A
+    conjugate of w lies in h exactly when r closes up at some vertex:
     if a rotation of r closes at u, r itself closes at the vertex the
     rotated-off part leads to, so one pass over the vertices suffices.
-    The conjugator is the base-to-u path label followed by s^-1.
     """
     if w.alphabet != h.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
     codes = w.codes
     i = _conjugator_length(codes)
-    strip = Word._of(w.alphabet, codes[:i])
     r = codes[i : len(codes) - i]
     if not r:
-        return Word(w.alphabet)
+        return h.base
     g = h.graph
     for u in range(g.vertex_count):
         if g._walk(u, r) == u:
-            return path_word(g, h.base, u, h.alphabet) * ~strip
+            return u
     return None
 
 

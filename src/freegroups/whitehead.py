@@ -43,10 +43,9 @@ c -> c ^ 1), and a product is a plain concatenation unless its junction
 cancels.  bytes holds the codes of ranks up to 128; above that the
 words are tuples, under the same loops.  The search's forward half,
 the breadth-first ball around the standard basis, depends on the rank
-alone, so one ball per rank is grown on demand and shared by every
-search; after each search it is cut back, whole top layers at a time,
-to NIELSEN_BUDGET // 10 states.  The backward half is a private ball
-around the target, built the same way by the moves undone.
+alone, so every search starts from all layers of one shared ball per
+rank.  It deepens by a layer only once the searches' backward halves,
+private balls around their targets, have paid for it.
 """
 
 from __future__ import annotations
@@ -84,10 +83,14 @@ from .words import (
 # relabelings; rank 7 has 57,330 and 645,120.
 WHITEHEAD_BUDGET = 50_000
 
-# The most tuples one breadth-first Nielsen search may hold: the budget
-# of the bidirectional search, and the bound on each plateau of
-# equal total length in the reduction that backs it up.
+# The most tuples one breadth-first Nielsen search may make past the
+# shared ball, and the bound on each plateau of equal total length in
+# the reduction that backs it up.
 NIELSEN_BUDGET = 300_000
+
+# The most states a rank's shared Nielsen ball keeps: ranks 2, 3 and 4
+# stop at 1,736, 3,689 and 2,491 (depths 6, 4 and 3).
+BALL_STATES = 5_000
 
 
 class NotABasisError(ValueError):
@@ -748,32 +751,30 @@ def _successors(
 
 
 # Parent links, of both search balls and of the reduction: state ->
-# (next state toward the root, move, depth).  The move carries the state
-# to its parent walking backward, and the parent to the state forward.
-_Links = dict[_State, tuple["_State | None", "NielsenTransformation | None", int]]
+# (next state toward the root, move).  The move carries the state to
+# its parent walking backward, and the parent to the state forward.
+_Links = dict[_State, tuple["_State | None", "NielsenTransformation | None"]]
 
 
 def _path(links: _Links, state: _State) -> list[NielsenTransformation]:
     """The moves on the links from the state to the root, in the order
     the links are followed."""
     path: list[NielsenTransformation] = []
-    parent, move, _ = links[state]
+    parent, move = links[state]
     while parent is not None:
         path.append(move)  # type: ignore[arg-type]
-        parent, move, _ = links[parent]
+        parent, move = links[parent]
     return path
 
 
 class _Ball(object):
     """The breadth-first layers of one rank's states around a root,
-    grown on demand: forward by the elementary moves, or backward by
-    the moves undone.  The forward ball around the standard basis
-    depends on the rank alone, so every search of the rank shares it;
-    each search walks back from its target in a private backward ball.
+    grown one at a time: forward by the elementary moves, or backward by
+    the moves undone.
 
     `links` holds each state's parent link; `sizes[d]` counts the states
-    of depth at most d.  A search holds the shared ball's `lock`
-    throughout, since searches grow and trim it."""
+    of depth at most d.  The shared ball counts in `spent` the backward
+    states made since it last deepened; a search holds its `lock`."""
 
     def __init__(self, rank: int, root: _State | None = None, forward: bool = True) -> None:
         self.pack, self.invert, self.moves = _rank_ops(rank)
@@ -781,42 +782,48 @@ class _Ball(object):
         if root is None:
             root = tuple([(2 * g,) for g in range(rank)])
         self.root: _State = tuple([self.pack(w) for w in root])
-        self.links: _Links = {self.root: (None, None, 0)}
+        self.links: _Links = {self.root: (None, None)}
         self.layers: list[list[_State]] = [[self.root]]
         self.sizes = [1]
+        self.spent = 0
         self.lock = threading.Lock()
 
-    def layer(self, depth: int) -> list[_State]:
-        """The states of this depth, growing the ball by one layer when
-        it is the first missing one."""
-        if depth == len(self.layers):
-            links, fresh = self.links, []
-            try:
-                for state in self.layers[-1]:
-                    for new, move in _successors(state, self.moves, self.invert, self.forward):
-                        if new not in links:
-                            links[new] = (state, move, depth)
-                            fresh.append(new)
-            except BaseException:
-                # An interrupted layer would be taken as complete later.
-                for state in fresh:
-                    del links[state]
-                raise
-            self.layers.append(fresh)
-            self.sizes.append(self.sizes[-1] + len(fresh))
-        return self.layers[depth]
+    def grow(self) -> list[_State]:
+        """Grow the ball by one layer, and return its states."""
+        links, fresh = self.links, []
+        try:
+            for state in self.layers[-1]:
+                for new, move in _successors(state, self.moves, self.invert, self.forward):
+                    if new not in links:
+                        links[new] = (state, move)
+                        fresh.append(new)
+        except BaseException:
+            # An interrupted layer would be taken as complete later.
+            for state in fresh:
+                del links[state]
+            raise
+        self.layers.append(fresh)
+        self.sizes.append(self.sizes[-1] + len(fresh))
+        return fresh
 
-    def trim(self, limit: int) -> None:
-        """Drop whole top layers while more than `limit` states remain."""
-        while len(self.layers) > 1 and self.sizes[-1] > limit:
+    def settle(self, depth: int, spent: int) -> None:
+        """Cut the ball back to `depth`, or one layer deeper once the
+        backward states spent since it last deepened reach n^2 times the
+        last layer, a bound on the new one that must fit BALL_STATES."""
+        self.spent += spent
+        bound = len(self.moves) * len(self.layers[depth])
+        if 0 < bound <= min(self.spent, BALL_STATES - self.sizes[depth]):
+            depth, self.spent = depth + 1, 0
+        while len(self.layers) > depth + 1:
             for state in self.layers.pop():
                 del self.links[state]
             self.sizes.pop()
+        if len(self.layers) == depth:
+            self.grow()
 
 
-@lru_cache(maxsize=None)
-def _ball(rank: int) -> _Ball:
-    return _Ball(rank)
+# The shared forward ball of each rank, made on first use.
+_ball = lru_cache(maxsize=None)(_Ball)
 
 
 def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformation] | None:
@@ -824,40 +831,37 @@ def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformati
     target, by bidirectional breadth-first search.  None past
     NIELSEN_BUDGET states (the caller falls back to `_reduction_moves`).
 
-    Each step grows the side with the smaller last layer by one layer
-    and looks for the new states among the other side's states.  The
-    forward side is the rank's shared `_Ball`, which may already be
-    deeper than this search has reached, so only its states of the
-    reached depths count.  Meets in one layer share their depth on the
-    grown side; the least depth on the other side wins, the first in
-    layer order on a tie.  On return the shared ball is trimmed to
-    NIELSEN_BUDGET // 10 states, so a search that ran long does not
-    leave its forward half resident.
+    The forward side starts as all layers of the rank's shared `_Ball`,
+    and the target is looked up in them.  Then each step grows the side
+    with the smaller last layer and looks for the new states among the
+    other side's; all meets share their depths, so the first in layer
+    order wins.  Only the root and the states past the shared layers
+    count against NIELSEN_BUDGET, so a fresh ball runs the plain search;
+    a deeper one may meet another shortest move list.  The shared ball
+    then drops the layers grown past it and may deepen by one.
     """
     forward = _ball(rank)
     backward = _Ball(rank, target, forward=False)
-    if backward.root == forward.root:
-        return []
-    balls, depths = (forward, backward), [0, 0]
     with forward.lock:
+        resident = len(forward.layers) - 1
         try:
+            if backward.root in forward.links:
+                return _path(forward.links, backward.root)[::-1]
+            balls, free = (forward, backward), forward.sizes[-1] - 1
             while True:
-                last = [ball.layers[d] for ball, d in zip(balls, depths)]
-                size = forward.sizes[depths[0]] + backward.sizes[depths[1]]
+                last = [ball.layers[-1] for ball in balls]
+                size = forward.sizes[-1] - free + backward.sizes[-1]
                 if not all(last) or size > NIELSEN_BUDGET:
                     return None
                 side = len(last[0]) > len(last[1])
-                depths[side] += 1
-                fresh = balls[side].layer(depths[side])
-                links, reached = balls[not side].links, depths[not side]
+                fresh = balls[side].grow()
+                links = balls[not side].links
                 if links.keys().isdisjoint(fresh):
                     continue
-                meets = [s for s in fresh if s in links and links[s][2] <= reached]
-                if meets:
-                    best = min(meets, key=lambda s: links[s][2])
-                    return _path(forward.links, best)[::-1] + _path(backward.links, best)
+                best = next(s for s in fresh if s in links)
+                return _path(forward.links, best)[::-1] + _path(backward.links, best)
         finally:
-            forward.trim(NIELSEN_BUDGET // 10)
+            forward.settle(resident, len(backward.links))
 
 
 def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformation]:
@@ -880,24 +884,23 @@ def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformat
     pack, invert, moves = _rank_ops(rank)
     back: list[NielsenTransformation] = []
     state, length = tuple([pack(w) for w in target]), sum(map(len, target))
-    links: _Links = {state: (None, None, 0)}
+    links: _Links = {state: (None, None)}
     queue = deque([state])
     while length > rank:
         if not queue:
             raise CertificateError("Nielsen reduction met no tuple shorter than %d" % length)
         current = queue.popleft()
-        depth = links[current][2] + 1
         for new, move in _successors(current, moves, invert, False):
             size = sum(map(len, new))
             if size > length or new in links:
                 continue
-            links[new] = (current, move, depth)
+            links[new] = (current, move)
             if size < length:
                 if not all(new):
                     raise CertificateError("Nielsen reduction met the trivial word")
                 back.extend(reversed(_path(links, new)))
                 state, length = new, size
-                links, queue = {new: (None, None, 0)}, deque([new])
+                links, queue = {new: (None, None)}, deque([new])
                 break
             if len(links) > NIELSEN_BUDGET:
                 raise NielsenBudgetError(
@@ -921,7 +924,8 @@ def nielsen_decompose(target: Sequence[Word], alphabet: Alphabet) -> list[Nielse
     """An elementary move sequence carrying the standard basis to the
     target tuple, exactly and in order: the shortest one when the
     bidirectional search finds it within NIELSEN_BUDGET states, else a
-    complete Nielsen reduction whose move list may be longer.
+    complete Nielsen reduction whose move list may be longer.  Which
+    shortest list comes back depends on the depth of the shared ball.
 
     Raises NotABasisError when the words do not form a basis, and
     NielsenBudgetError when the reduction passes NIELSEN_BUDGET.

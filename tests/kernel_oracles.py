@@ -15,7 +15,8 @@ edge, the conjugacy search tries every rotation at every vertex and
 the least rotation compares all n rotations; a Whitehead automorphism
 rewrites `Letter`s one by one, then reduces, cyclically reduces and
 rotates in full; the Nielsen search keys its states by (gen, sign)
-pairs and reduces every product in full; a move list acts on a word by
+pairs, reduces every product in full and starts from as many forward
+layers as the library's shared ball holds; a move list acts on a word by
 one letter substitution per move, where the rebase substitutes the
 image words of the automorphism once; the parser reads every
 character by its case.  Words are tuples of `Letter`s, checked,
@@ -335,16 +336,39 @@ def _raw_apply(key, move, undo):
     return tuple(words)
 
 
-def bidirectional_search(target_key, rank, node_budget):
-    """The Nielsen search on (gen, sign) pairs, reducing every product
-    in full and inverting a word for every move that needs it."""
+def _raw_layers(rank, depth):
+    """The first `depth` breadth-first layers around the standard basis:
+    (parents, last layer)."""
     std_key = tuple(((g, 1),) for g in range(rank))
-    if target_key == std_key:
-        return []
+    parents, frontier = {std_key: None}, [std_key]
+    for _ in range(depth):
+        fresh = []
+        for state in frontier:
+            for move in _elementary_moves(rank):
+                new = _raw_apply(state, move, undo=False)
+                if new not in parents:
+                    parents[new] = (state, move)
+                    fresh.append(new)
+        frontier = fresh
+    return parents, frontier
+
+
+_resident_layers = {}
+
+
+def bidirectional_search(target_key, rank, node_budget, resident=0):
+    """The Nielsen search on (gen, sign) pairs, reducing every product
+    in full and inverting a word for every move that needs it.  The
+    forward side starts with its first `resident` layers reached, which
+    do not count against the budget; the target is looked up in them."""
+    if (rank, resident) not in _resident_layers:
+        _resident_layers[rank, resident] = _raw_layers(rank, resident)
+    parents_f, frontier_f = _resident_layers[rank, resident]
+    parents_f = dict(parents_f)
+    free = len(parents_f) - 1
     moves = _elementary_moves(rank)
-    parents_f = {std_key: None}
     parents_b = {target_key: None}
-    frontier_f, frontier_b = [std_key], [target_key]
+    frontier_b = [target_key]
 
     def rebuild(meet):
         head = []
@@ -366,8 +390,10 @@ def bidirectional_search(target_key, rank, node_budget):
             d += 1
         return d
 
+    if target_key in parents_f:
+        return rebuild(target_key)
     while frontier_f and frontier_b:
-        if len(parents_f) + len(parents_b) > node_budget:
+        if len(parents_f) - free + len(parents_b) > node_budget:
             return None
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b

@@ -1,4 +1,5 @@
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -7,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from freegroups import cli, whitehead
+from freegroups import cli, ellipticity, whitehead
 from freegroups.cli import main, run
+from freegroups.whitehead import _elementary_moves, apply_nielsen
+from freegroups.words import Alphabet
 
 GRAPH_BAB = "v 2\nbase 0\ne 0 1 b\ne 1 1 a\n"
 
@@ -222,16 +225,111 @@ class TestSplittingCommands:
     # search budget, so the Nielsen reduction gives the bound.
     BEYOND_SEARCH = ["nielsen-bound", "-n", "3", "split abc babcabc | CBAC", "split aba CABC | C"]
 
+    # Runs the request on a fresh ball, then on the rank-3 ball deepened
+    # as far as BALL_STATES lets it; prints both outputs, the depth and
+    # the peak RSS in MB.
+    BEYOND_CHILD = """
+import resource, sys
+from freegroups import whitehead
+from freegroups.cli import run
+print(run(sys.argv[1:]))
+ball = whitehead._ball(3)
+while True:
+    depth = len(ball.layers)
+    ball.settle(depth - 1, whitehead.BALL_STATES)
+    if len(ball.layers) == depth:
+        break
+print(run(sys.argv[1:]))
+print(len(ball.layers) - 1)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
+"""
+
     def test_nielsen_bound_beyond_the_search_budget(self):
-        code, out, err = run(self.BEYOND_SEARCH)
-        assert (code, err) == (0, "")
-        assert int(out) > 0 and int(out) % 2 == 0
+        # The search runs out of its budget and the reduction prints 52,
+        # on a fresh ball and on the deepest one, within 200 MB.
+        done = subprocess.run(
+            [sys.executable, "-c", self.BEYOND_CHILD, *self.BEYOND_SEARCH],
+            env=child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        cold, deep, depth, rss_mb = done.stdout.splitlines()
+        assert cold == deep == repr((0, "52\n", ""))
+        assert int(depth) == 4
+        assert int(rss_mb) < 200
 
     def test_nielsen_reduction_budget(self, monkeypatch):
         monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 3)
         code, out, err = run(self.BEYOND_SEARCH)
         assert (code, out) == (2, "")
         assert err.startswith("error: Nielsen reduction over the budget of 3 tuples")
+
+
+def deepen_to_limit(rank):
+    """Deepen the rank's shared Nielsen ball layer by layer, as far as
+    BALL_STATES lets it; returns its depth."""
+    ball = whitehead._ball(rank)
+    while True:
+        depth = len(ball.layers) - 1
+        ball.settle(depth, whitehead.BALL_STATES)
+        if len(ball.layers) - 1 == depth:
+            return depth
+
+
+def split_text(words, cut):
+    return "split %s | %s" % (" ".join(map(str, words[:cut])), " ".join(map(str, words[cut:])))
+
+
+def splitting_requests(seed, count):
+    """Seeded nielsen-bound and prim-intersect requests, alternating
+    ranks 2 and 3: a basis 1-4 random Nielsen moves out and one up to 10
+    (rank 2) or 6 (rank 3) moves further, cut at the same place.  The
+    prim-intersect moves keep entry 0, so the A factors share it."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        rank = 2 + k % 2
+        kind = ("nielsen-bound", "prim-intersect")[k // 2 % 2]
+        moves = _elementary_moves(rank)
+        first = apply_nielsen(rng.choices(moves, k=rng.randint(1, 4)), Alphabet.of_rank(rank))
+        second = first
+        keep = [m for m in moves if kind == "nielsen-bound" or m.target != 0]
+        for m in rng.choices(keep, k=rng.randint(1, 10 if rank == 2 else 6)):
+            second = m.apply(second)
+        cut = rng.randint(1, rank - 1)
+        s1, s2 = split_text(first, cut), split_text(second, cut)
+        tail = [s1, s2] if kind == "nielsen-bound" else [s1, "A", s2, "A"]
+        out.append([kind, "-n", str(rank), *tail])
+    return out
+
+
+class TestDeepenedBall:
+    def test_a_deepened_ball_prints_the_same(self):
+        # Each request first runs alone on fresh balls, as a one-shot
+        # call does.  Then all run in turn on shared balls, which deepen
+        # as the searches spend backward work, and once more on balls
+        # deepened as far as they go.
+        requests = splitting_requests(18, 200)
+
+        def fresh():
+            whitehead._ball.cache_clear()
+            ellipticity._rebase_moves.cache_clear()
+
+        try:
+            cold = []
+            for argv in requests:
+                fresh()
+                cold.append(run(argv))
+            fresh()
+            shared = [run(argv) for argv in requests]
+            assert all(len(whitehead._ball(rank).layers) > 3 for rank in (2, 3))
+            assert (deepen_to_limit(2), deepen_to_limit(3)) == (6, 4)
+            ellipticity._rebase_moves.cache_clear()
+            deep = [run(argv) for argv in requests]
+        finally:
+            fresh()
+        assert all(code == 0 for code, _, _ in cold)
+        assert shared == cold
+        assert deep == cold
 
 
 class TestDeterminism:
@@ -306,6 +404,13 @@ class TestConcurrentRuns:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def child_env():
+    """The environment of a child Python that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 def readme_examples():
     """(argv, stdout) for each `$ fgt ...` line of README's "Command line"
     block; the lines after a command, up to the next one, are its output."""
@@ -329,11 +434,9 @@ README_EXAMPLES = readme_examples()
 @pytest.mark.parametrize("argv, stdout", README_EXAMPLES, ids=[argv[0] for argv, _ in README_EXAMPLES])
 def test_readme_command_line_examples(argv, stdout):
     # A boolean "no" exits 1, every other answer 0.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     done = subprocess.run(
         [sys.executable, "-m", "freegroups.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
+        env=child_env(), capture_output=True, text=True, timeout=60,
     )
     expected_code = 1 if stdout in ("false\n", "no\n") else 0
     assert (done.stdout, done.returncode, done.stderr) == (stdout, expected_code, "")

@@ -4,6 +4,7 @@ Nielsen search, the rebase by image tuples, the parser and the
 code-backed words returns exactly what the code it replaced returns (the
 oracles in `kernel_oracles.py`)."""
 
+import itertools
 import random
 import sys
 import threading
@@ -20,6 +21,7 @@ from freegroups.stallings import (
     _generates,
     build_subgroup,
     conjugator_into,
+    contains,
     contains_conjugate,
     core,
     find_cycle,
@@ -346,24 +348,41 @@ class TestArcs:
         assert g._arcs == oracle.flat_sorted_arcs(g)
 
 
+@st.composite
+def conjugacy_cases(draw):
+    """(h, w): a subgroup from the folding families and a word that is
+    random, or a conjugate of a rotated generator of h."""
+    alphabet = Alphabet.of_rank(draw(st.sampled_from((1, 2, 3))))
+    gens = draw(generators(alphabet))
+    h = build_subgroup(gens, alphabet)
+    seq = draw(st.lists(letters(alphabet.rank), max_size=10))
+    if draw(st.booleans()):
+        # A conjugate of a rotated generator: the answer is yes, and the
+        # conjugator has to undo both.
+        g = draw(st.sampled_from(gens)).letters
+        r = draw(st.integers(0, len(g)))
+        seq = seq + list(g[r:] + g[:r]) + [l.inverse() for l in reversed(seq)]
+    return h, free_reduce(seq, alphabet)
+
+
 class TestConjugacySearch:
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_conjugator_into(self, data):
-        alphabet = Alphabet.of_rank(data.draw(st.sampled_from((1, 2, 3))))
-        gens = data.draw(generators(alphabet))
-        h = build_subgroup(gens, alphabet)
-        seq = data.draw(st.lists(letters(alphabet.rank), max_size=10))
-        if data.draw(st.booleans()):
-            # A conjugate of a rotated generator: the answer is yes, and
-            # the conjugator has to undo both.
-            g = data.draw(st.sampled_from(gens)).letters
-            r = data.draw(st.integers(0, len(g)))
-            seq = seq + list(g[r:] + g[:r]) + [l.inverse() for l in reversed(seq)]
-        w = free_reduce(seq, alphabet)
+    @given(conjugacy_cases())
+    def test_conjugator_into(self, case):
+        h, w = case
         expected = oracle.conjugator_into(h, w)
         assert conjugator_into(h, w) == expected
         assert contains_conjugate(h, w) == (expected is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(conjugacy_cases())
+    def test_contains_conjugate_is_a_conjugator_found(self, case):
+        # The yes/no test stops at the vertex walk that the conjugator
+        # extends into a word.
+        h, w = case
+        x = conjugator_into(h, w)
+        assert contains_conjugate(h, w) == (x is not None)
+        assert x is None or contains(h, x * w * ~x)
 
 
 def least_rotation(seq):
@@ -475,12 +494,29 @@ def pair_key(words):
     return tuple(tuple((l.gen, l.sign) for l in w.letters) for w in words)
 
 
-def search(target, rank, budget):
-    """_bidirectional_search under a NIELSEN_BUDGET of `budget`, which
-    also sets the shared ball's trim limit to budget // 10."""
+def resident(rank, depth):
+    """Cut the rank's shared ball back, or grow it, to `depth` layers
+    past its root, with no backward work counted toward deepening it."""
+    ball = _ball(rank)
+    ball.spent = 0
+    ball.settle(min(depth, len(ball.layers) - 1), 0)
+    while len(ball.layers) <= depth:
+        ball.grow()
+    return ball
+
+
+def search(target, rank, budget, depth=0):
+    """_bidirectional_search under a NIELSEN_BUDGET of `budget`, on a
+    shared ball holding `depth` layers past its root."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(whitehead, "NIELSEN_BUDGET", budget)
+        resident(rank, depth)
         return _bidirectional_search(target, rank)
+
+
+# The most layers a rank's shared ball holds within BALL_STATES (the
+# rank-1 ball ends in an empty layer).
+DEEPEST = {1: 2, 2: 6, 3: 4, 4: 3}
 
 
 class TestNielsenSearch:
@@ -488,21 +524,33 @@ class TestNielsenSearch:
     # oracle stays fast on the ones that are not.
     BUDGET = 30_000
 
+    def check_depths(self, rank, words, budget):
+        """The path at resident depths 0, 2 and 4 (the deepest, where a
+        rank's ball stops short of 4) is the oracle's at that depth; at
+        every depth a ball of the rank can hold, the search finds one of
+        the same length, and it finds one whenever a fresh ball does."""
+        target = tuple(w.codes for w in words)
+        found = {d: search(target, rank, budget, d) for d in range(DEEPEST[rank] + 1)}
+        for d in {0, 2, min(4, DEEPEST[rank])}:
+            assert found[d] == oracle.bidirectional_search(pair_key(words), rank, budget, d)
+        lengths = {None if m is None else len(m) for m in found.values()}
+        assert len(lengths - {None}) <= 1
+        if found[0] is not None:
+            assert lengths == {len(found[0])}
+        for moves in found.values():
+            assert moves is None or apply_nielsen(moves, words[0].alphabet) == words
+
     @settings(max_examples=60, deadline=None)
     @given(nielsen_targets())
     def test_matches_pair_keyed_search(self, case):
         rank, words = case
-        expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
-        assert search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
+        self.check_depths(rank, words, self.BUDGET)
 
     @settings(max_examples=80, deadline=None)
     @given(nielsen_targets(), st.integers(0, 300))
     def test_small_budgets_run_out_together(self, case, budget):
         rank, words = case
-        expected = oracle.bidirectional_search(pair_key(words), rank, budget)
-        found = search(tuple(w.codes for w in words), rank, budget)
-        assert (found is None) == (expected is None)
-        assert found == expected
+        self.check_depths(rank, words, budget)
 
     # A rank-3 basis whose search runs out of a budget of 100,000 states.
     DEEP = ("abcabcbAc", "bcaBc", "cAbbc")
@@ -518,25 +566,41 @@ class TestNielsenSearch:
             out.append((rank, apply_nielsen(rng.choices(moves, k=rng.randint(0, 12)), Alphabet.of_rank(rank))))
         return out
 
+    @staticmethod
+    def check_consistent(ball):
+        assert ball.sizes == list(itertools.accumulate(map(len, ball.layers)))
+        assert len(ball.links) == ball.sizes[-1]
+
     def test_a_warm_or_trimmed_ball_changes_nothing(self):
-        # The deep search runs out of budget after growing the rank-3
-        # ball past its trim limit.  Each search trims the ball to a
-        # tenth of its budget, so with the budgets falling every batch
-        # starts on a ball deeper than its searches reach, and regrows
-        # the layers the trim dropped.
+        # The deep search runs out of budget on a fresh ball and on one
+        # at its deepest, and leaves no layer it grew past them.  Then
+        # each batch searches on the ball the searches before it left,
+        # which deepens as they spend backward work, and each path is
+        # the oracle's at the depth the ball held at the call.
         _ball.cache_clear()
         deep = tuple(parse_word(t, Alphabet.of_rank(3)).codes for t in self.DEEP)
-        assert search(deep, 3, 100_000) is None
-        ball = _ball(3)
-        assert ball.sizes[-1] == len(ball.links) <= 100_000 // 10
+        for depth in (0, 4):
+            assert search(deep, 3, 100_000, depth) is None
+            ball = _ball(3)
+            assert len(ball.layers) - 1 in (depth, depth + 1)
+            self.check_consistent(ball)
+        _ball.cache_clear()
+        seen = set()
         for budget in (self.BUDGET, 300, 7, 0):
             for rank, words in self.random_targets(budget, 12):
-                expected = oracle.bidirectional_search(pair_key(words), rank, budget)
-                assert search(tuple(w.codes for w in words), rank, budget) == expected
+                depth = len(_ball(rank).layers) - 1
+                seen.add((rank, depth))
+                expected = oracle.bidirectional_search(pair_key(words), rank, budget, depth)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(whitehead, "NIELSEN_BUDGET", budget)
+                    assert _bidirectional_search(tuple(w.codes for w in words), rank) == expected
+                self.check_consistent(_ball(rank))
+        assert max(depth for _, depth in seen) >= 2
 
     def test_an_interrupted_layer_is_dropped(self, monkeypatch):
         # Growing layer 2 of the rank-3 ball fails after three of the
-        # nine states of layer 1 have been expanded.
+        # nine states of layer 1 have been expanded.  The search's
+        # backward work deepens the ball to layer 1, which was complete.
         _ball.cache_clear()
         cases = self.random_targets(4, 8)
         real, grown = whitehead._successors, []
@@ -554,9 +618,11 @@ class TestNielsenSearch:
             search(deep, 3, self.BUDGET)
         monkeypatch.setattr(whitehead, "_successors", real)
         assert len(_ball(3).links) == _ball(3).sizes[-1] == 10
+        self.check_consistent(_ball(3))
         for rank, words in cases:
-            expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET)
-            assert search(tuple(w.codes for w in words), rank, self.BUDGET) == expected
+            depth = len(_ball(rank).layers) - 1
+            expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET, depth)
+            assert search(tuple(w.codes for w in words), rank, self.BUDGET, depth) == expected
 
     @pytest.mark.parametrize("move", [
         NielsenTransformation.invert(128),
@@ -575,17 +641,17 @@ class TestNielsenSearch:
             _ball.cache_clear()
 
     def test_concurrent_searches_share_the_ball(self, monkeypatch):
-        # A trim limit of 100 states makes most searches trim the layers
-        # that the others read or grow.
+        # The searches deepen the shared ball while the others wait to
+        # read or grow it, so each path is the oracle's at one of the
+        # depths the ball passed through.
         monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 1_000)
-        cases = [(rank, tuple(w.codes for w in words), oracle.bidirectional_search(pair_key(words), rank, 1_000))
-                 for rank, words in self.random_targets(3, 16)]
+        cases = [(rank, words, tuple(w.codes for w in words)) for rank, words in self.random_targets(3, 16)]
         _ball.cache_clear()
         found = {}
 
         def searches(k):
             for i in list(range(k, len(cases))) + list(range(k)):
-                rank, target, _ = cases[i]
+                rank, _, target = cases[i]
                 found[k, i] = _bidirectional_search(target, rank)
 
         threads = [threading.Thread(target=searches, args=(k,)) for k in range(6)]
@@ -599,7 +665,15 @@ class TestNielsenSearch:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert found == {(k, i): e for k in range(6) for i, (_, _, e) in enumerate(cases)}
+        reached = {rank: len(_ball(rank).layers) - 1 for rank, _, _ in cases}
+        assert max(reached.values()) >= 2
+        for (k, i), moves in found.items():
+            rank, words, _ = cases[i]
+            expected = [oracle.bidirectional_search(pair_key(words), rank, 1_000, d) for d in range(reached[rank] + 1)]
+            assert moves in expected
+            assert len({len(m) for m in expected if m is not None}) <= 1
+        for rank in reached:
+            self.check_consistent(_ball(rank))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

@@ -7,7 +7,8 @@ Two splittings are at distance two exactly when some nontrivial element
 is elliptic to both, which reduces to a cycle search in products of type
 graphs.  Two words are at distance two exactly when a Whitehead-minimal
 representative of the pair is good (frugal or disjoint), in which case
-the separating splitting pulls back through the descent.
+the separating splitting pulls back through the descent, as the letters'
+images under the inverted descent.
 
 Also here: a primitive element in the intersection of two free factors
 (the intersection of free factors is again a free factor, so any basis
@@ -15,7 +16,8 @@ element of it is primitive), and the Nielsen upper bound 2m on the
 splitting distance, where m counts elementary moves relating the bases.
 Both rebase by the automorphism φ sending the standard letters to a
 splitting's combined basis, kept as the letters' images under φ and
-φ⁻¹, so a rebased word is one substitution.  Every answer is re-checked
+φ⁻¹, so a rebased word is one substitution; φ⁻¹'s images come from
+`whitehead`'s replay of φ's Nielsen moves.  Every answer is re-checked
 by an explicit raise of CertificateError, which `python -O` keeps.
 """
 
@@ -40,12 +42,11 @@ from .stallings import (
     type_graph,
 )
 from .whitehead import (
-    NielsenTransformation,
     PairClass,
     _decompose_basis,
     _free_image,
     _Images,
-    apply_nielsen,
+    _replay,
     classify_pair,
     minimize_tuple,
     standard_basis,
@@ -57,7 +58,6 @@ from .words import (
     TrivialWordError,
     Word,
     _inverse,
-    cyclic_reduce,
     letter_support,
 )
 
@@ -243,11 +243,9 @@ def word_elliptic(w: "Word | CyclicWord", s: FreeSplitting) -> bool:
     linear = w.as_word() if isinstance(w, CyclicWord) else w
     if linear.alphabet != s.alphabet:
         raise AlphabetMismatchError("word over a different alphabet")
-    if cyclic_reduce(linear)[0].is_trivial:
+    if linear.is_trivial:
         raise TrivialWordError("ellipticity is defined for nontrivial words")
-    return contains_conjugate(s.factor(0), linear) or contains_conjugate(
-        s.factor(1), linear
-    )
+    return any(contains_conjugate(s.factor(i), linear) for i in (0, 1))
 
 
 def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
@@ -257,8 +255,8 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
     yes exactly when the minimal pair is good.  A good minimal pair is
     separated by a coordinate splitting -- on the support of the first
     word when the supports are disjoint, on the union of the supports
-    when a generator is missed -- and the splitting pulls back through
-    the inverted descent to one for the input pair.
+    when a generator is missed -- and the letters' images under the
+    inverted descent pull it back to a splitting of the input pair.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatchError("pair over different alphabets")
@@ -273,23 +271,21 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
         x1 = set(letter_support(mv))  # the first support alone splits
     else:  # frugal only: both supports fit in one proper factor
         x1 = set(letter_support(mv) | letter_support(mw))
-    x2 = set(range(alphabet.rank)) - x1
-    std = standard_basis(alphabet)
-    basis_a = [std[g] for g in sorted(x1)]
-    basis_b = [std[g] for g in sorted(x2)]
+    images = [[2 * g] for g in range(alphabet.rank)]
     for t in reversed(descent):
-        back = t.inverse()
-        basis_a = [back.apply_to_word(u) for u in basis_a]
-        basis_b = [back.apply_to_word(u) for u in basis_b]
-    s = verify_splitting(basis_a, basis_b, alphabet)
+        back = t.inverse()._code_images
+        images = [_free_image(back, u) for u in images]
+    a = [Word._of(alphabet, images[g]) for g in sorted(x1)]
+    b = [Word._of(alphabet, images[g]) for g in range(alphabet.rank) if g not in x1]
+    s = verify_splitting(a, b, alphabet)
     if not (word_elliptic(v, s) and word_elliptic(w, s)):
         raise CertificateError("the pulled-back splitting misses an input word")
     return EllipticityAnswer(True, s)
 
 
-def _images(words: Sequence[Word]) -> _Images:
+def _images(words: Sequence[Sequence[int]]) -> _Images:
     """The code images of the endomorphism sending letter g to words[g]."""
-    return tuple([image for w in words for image in (w.codes, _inverse(w.codes))])
+    return tuple([image for w in words for image in (tuple(w), _inverse(w))])
 
 
 def _image(images: _Images, w: Word) -> Word:
@@ -299,18 +295,14 @@ def _image(images: _Images, w: Word) -> Word:
 @lru_cache(maxsize=256)
 def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]) -> tuple[_Images, _Images]:
     """The letters' code images under the rebase φ, which sends them to a
-    certified splitting's combined basis, and under φ⁻¹: the standard
-    basis carried by φ's moves undone in reverse, where rmul(i, j) is
-    undone by inv(j), rmul(i, j), inv(j).  φ⁻¹ must send the basis back
-    to the letters, which proves it φ's inverse."""
-    inv = NielsenTransformation.invert
-    undone: list[NielsenTransformation] = []
-    for m in reversed(_decompose_basis(combined, alphabet)):
-        undone += [m] if m.is_inversion else [inv(m.source), m, inv(m.source)]
-    back = _images(apply_nielsen(undone, alphabet))
-    if any(_free_image(back, w.codes) != [2 * g] for g, w in enumerate(combined)):
+    certified splitting's combined basis, and under φ⁻¹, which
+    `whitehead._replay` runs backward through φ's moves.  φ⁻¹ must send
+    the basis back to the letters, which proves it φ's inverse."""
+    codes = tuple([w.codes for w in combined])
+    back = _images(_replay(_decompose_basis(codes, alphabet.rank), alphabet.rank, forward=False))
+    if any(_free_image(back, w) != [2 * g] for g, w in enumerate(codes)):
         raise CertificateError("the inverse rebase does not send the basis to the letters")
-    return _images(combined), back
+    return _images(codes), back
 
 
 def primitive_in_intersection(
@@ -357,6 +349,6 @@ def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:
     """
     _require_same_alphabet(s1, s2)
     _, back = _rebase_moves(s1.alphabet, s1.combined)
-    over_s1 = tuple([_image(back, u) for u in s2.combined])
+    over_s1 = tuple([tuple(_free_image(back, u.codes)) for u in s2.combined])
     recut = len(s1.basis_a) != len(s2.basis_a)
-    return 2 * (len(_decompose_basis(over_s1, s1.alphabet)) + recut)
+    return 2 * (len(_decompose_basis(over_s1, s1.alphabet.rank)) + recut)

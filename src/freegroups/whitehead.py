@@ -36,16 +36,18 @@ relabeling class it adds.
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
 tuple is decomposed into the shortest such move sequence when a
-budgeted search finds it, and by Nielsen reduction otherwise.  Both
-hold a basis as a tuple of `bytes` words of vertex codes, converted
-once at entry: a word inverts in C (reversed, then translated by
-c -> c ^ 1), and a product is a plain concatenation unless its junction
-cancels.  bytes holds the codes of ranks up to 128; above that the
-words are tuples, under the same loops.  The search's forward half,
-the breadth-first ball around the standard basis, depends on the rank
-alone, so every search starts from all layers of one shared ball per
-rank.  It deepens by a layer only once the searches' backward halves,
-private balls around their targets, have paid for it.
+budgeted search finds it, and by Nielsen reduction otherwise.  A move
+list is replayed by the search's own step, forward, or undone in
+reverse order to give the inverse automorphism.  All three hold a basis
+as a tuple of `bytes` words of vertex codes, converted once at entry: a
+word inverts in C (reversed, then translated by c -> c ^ 1), and a
+product is a plain concatenation unless its junction cancels.  bytes
+holds the codes of ranks up to 128; above that the words are tuples,
+under the same loops.  The search's forward half, the breadth-first
+ball around the standard basis, depends on the rank alone, so every
+search starts from all layers of one shared ball per rank.  It deepens
+by a layer only once the searches' backward halves, private balls
+around their targets, have paid for it.
 """
 
 from __future__ import annotations
@@ -225,14 +227,14 @@ class WhiteheadAut(object):
         cls, rank: int, mult: Letter, actions: Sequence[int]
     ) -> "WhiteheadAut":
         _encode((mult,), rank)
-        actions = tuple([int(a) for a in actions])
+        actions = tuple(actions)
         if len(actions) != rank:
             raise ValueError("need one action per generator")
+        if not all(isinstance(a, int) and 0 <= a <= 3 for a in actions):
+            raise ValueError("unknown action in %r" % (actions,))
         if actions[mult.gen] != Action.KEEP:
             raise ValueError("the multiplier's own generator must be kept")
-        if any(a not in (0, 1, 2, 3) for a in actions):
-            raise ValueError("unknown action in %r" % (actions,))
-        return cls(rank=rank, mult=mult, actions=actions)
+        return cls(rank=rank, mult=mult, actions=tuple(map(int, actions)))
 
     def inverse(self) -> "WhiteheadAut":
         if self.images is not None:
@@ -586,10 +588,7 @@ def is_primitive(w: Word) -> bool:
     cyclic length in its orbit is one."""
     if w.is_trivial:
         raise TrivialWordError("the trivial word is not primitive")
-    cyc = CyclicWord.from_word(w)
-    if cyc.is_trivial:
-        raise TrivialWordError("w is conjugate to the trivial word")
-    minimal, _ = minimize_tuple((cyc,))
+    minimal, _ = minimize_tuple((CyclicWord.from_word(w),))
     return total_length(minimal) == 1
 
 
@@ -640,8 +639,9 @@ class NielsenTransformation(object):
     source: int | None = None
 
     def __post_init__(self) -> None:
-        if min(self.target, self.source or 0) < 0 or self.target == self.source:
-            raise ValueError("a Nielsen move needs distinct non-negative entries")
+        entries = (self.target, 0 if self.source is None else self.source)
+        if not all(isinstance(e, int) and e >= 0 for e in entries) or self.target == self.source:
+            raise ValueError("a Nielsen move needs distinct non-negative integer entries")
 
     @classmethod
     def invert(cls, gen: int) -> "NielsenTransformation":
@@ -650,10 +650,6 @@ class NielsenTransformation(object):
     @classmethod
     def right_multiply(cls, gen: int, other: int) -> "NielsenTransformation":
         return cls(gen, other)
-
-    @property
-    def is_inversion(self) -> bool:
-        return self.source is None
 
     def _check_within(self, count: int, what: str) -> None:
         if max(self.target, self.source or 0) >= count:
@@ -682,19 +678,16 @@ def standard_basis(alphabet: Alphabet) -> tuple[Word, ...]:
 def apply_nielsen(
     moves: Sequence[NielsenTransformation], alphabet: Alphabet
 ) -> tuple[Word, ...]:
-    """Run the moves, in order, starting from the standard basis."""
-    words = standard_basis(alphabet)
-    for m in moves:
-        words = m.apply(words)
-    return words
+    """Run the moves, in order, from the standard basis by `_replay`."""
+    return tuple([Word._of(alphabet, w) for w in _replay(moves, alphabet.rank)])
 
 
 # A state of the Nielsen search: a basis, as a tuple of its words'
 # vertex codes.  Each word is a `bytes` object, which hashes once and
 # inverts in C: reversed, then translated by _FLIP (c -> c ^ 1).  bytes
 # holds codes below 256, so ranks up to 128; above that each word is a
-# tuple, inverted by `_inverse`.  `_rank_ops` picks the container once
-# per rank, and every loop serves both.  A state's words are reduced and
+# tuple, inverted by `_inverse`.  `_packing` picks the container by the
+# rank, and every loop serves both.  A state's words are reduced and
 # nonempty, since it is a basis.
 _State = tuple[Sequence[int], ...]
 
@@ -720,12 +713,16 @@ def _elementary_moves(rank: int) -> list[NielsenTransformation]:
 _Moves = list[tuple[NielsenTransformation, int, "int | None"]]
 
 
+def _packing(rank: int) -> tuple[type, Callable]:
+    """The container of the words of a rank's states, and its inversion."""
+    return (bytes, _flip) if rank <= 128 else (tuple, _inverse)
+
+
 @lru_cache(maxsize=None)
 def _rank_ops(rank: int) -> tuple[type, Callable, _Moves]:
-    """The container of the words of a rank's states, its inversion, and
-    the rank's elementary moves with their entries."""
+    """_packing(rank) and the rank's elementary moves with their entries."""
     moves: _Moves = [(m, m.target, m.source) for m in _elementary_moves(rank)]
-    return (bytes, _flip, moves) if rank <= 128 else (tuple, _inverse, moves)
+    return (*_packing(rank), moves)
 
 
 def _successors(
@@ -748,6 +745,19 @@ def _successors(
             word = u + v if u[-1] ^ v[0] != 1 else _join(u, v)
         out.append((state[:i] + (word,) + state[i + 1 :], move))
     return out
+
+
+def _replay(moves: Sequence[NielsenTransformation], rank: int, forward: bool = True) -> _State:
+    """The standard basis carried through the moves, one `_successors`
+    step each: forward in order to the basis they build, the letters'
+    images under the automorphism φ they present, or backward, each
+    move undone in reverse order, to φ⁻¹'s images."""
+    pack, invert = _packing(rank)
+    state = tuple([pack((2 * g,)) for g in range(rank)])
+    for m in moves if forward else reversed(moves):
+        m._check_within(rank, "a tuple of %d words")
+        state = _successors(state, [(m, m.target, m.source)], invert, forward)[0][0]
+    return state
 
 
 # Parent links, of both search balls and of the reduction: state ->
@@ -777,11 +787,9 @@ class _Ball(object):
     states made since it last deepened; a search holds its `lock`."""
 
     def __init__(self, rank: int, root: _State | None = None, forward: bool = True) -> None:
-        self.pack, self.invert, self.moves = _rank_ops(rank)
+        pack, self.invert, self.moves = _rank_ops(rank)
         self.forward = forward
-        if root is None:
-            root = tuple([(2 * g,) for g in range(rank)])
-        self.root: _State = tuple([self.pack(w) for w in root])
+        self.root: _State = _replay((), rank) if root is None else tuple([pack(w) for w in root])
         self.links: _Links = {self.root: (None, None)}
         self.layers: list[list[_State]] = [[self.root]]
         self.sizes = [1]
@@ -940,20 +948,20 @@ def nielsen_decompose(target: Sequence[Word], alphabet: Alphabet) -> list[Nielse
             raise AlphabetMismatchError("basis word over a different alphabet")
         if w.is_trivial:
             raise NotABasisError("a basis cannot contain the trivial word")
-    # n words that generate F form a basis: free groups are Hopfian.
-    if not _generates([w.codes for w in words], alphabet.rank):
-        raise NotABasisError("words do not generate the whole group")
-    return _decompose_basis(words, alphabet)
-
-
-def _decompose_basis(words: tuple[Word, ...], alphabet: Alphabet) -> list[NielsenTransformation]:
-    """nielsen_decompose for words already certified to form a basis of
-    the alphabet's rank, such as the combined basis of a certified
-    splitting: no fold re-checks them, but the replay check still runs."""
     target = tuple([w.codes for w in words])
-    moves = _bidirectional_search(target, alphabet.rank)
+    # n words that generate F form a basis: free groups are Hopfian.
+    if not _generates(target, alphabet.rank):
+        raise NotABasisError("words do not generate the whole group")
+    return _decompose_basis(target, alphabet.rank)
+
+
+def _decompose_basis(target: tuple[tuple[int, ...], ...], rank: int) -> list[NielsenTransformation]:
+    """nielsen_decompose for code words already certified to form a basis
+    of the rank, such as the combined basis of a certified splitting: no
+    fold re-checks them, but the moves must `_replay` to them."""
+    moves = _bidirectional_search(target, rank)
     if moves is None:
         moves = _reduction_moves(target)
-    if apply_nielsen(moves, alphabet) != words:
+    if tuple(map(tuple, _replay(moves, rank))) != target:
         raise CertificateError("the move list does not replay to the target")
     return moves

@@ -18,7 +18,10 @@ rotates in full; the Nielsen search keys its states by (gen, sign)
 pairs, reduces every product in full and starts from as many forward
 layers as the library's shared ball holds; a move list acts on a word by
 one letter substitution per move, where the rebase substitutes the
-image words of the automorphism once; the parser reads every
+image words of the automorphism once, and acts on the standard basis
+by one `Word` product per move, where the library replays code words;
+its inverse is replayed with each rmul(i, j) spelled as inv(j),
+rmul(i, j), inv(j), as the rebase once did; the parser reads every
 character by its case.  Words are tuples of `Letter`s, checked,
 reduced and rotated letter by letter, as `Word` and `CyclicWord` were
 before they stored vertex codes; the Nielsen search's words are signed
@@ -39,7 +42,7 @@ from __future__ import annotations
 import string
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
-from freegroups.whitehead import _elementary_moves
+from freegroups.whitehead import NielsenTransformation, _elementary_moves, standard_basis
 from freegroups.words import Letter, Word, WordFormatError, free_reduce
 
 
@@ -451,6 +454,26 @@ def moves_apply_word_inverse(moves, w):
     for m in moves:
         w = substitute(m, w, inverse=True)
     return w
+
+
+def apply_moves(moves, alphabet):
+    """The moves run in order from the standard basis, each applied to
+    the tuple of Words by `NielsenTransformation.apply`."""
+    words = standard_basis(alphabet)
+    for m in moves:
+        words = m.apply(words)
+    return words
+
+
+def undo_moves(moves):
+    """Moves that, run forward from the standard basis, give the inverse
+    automorphism's images of the letters: the moves in reverse order, an
+    inversion kept and rmul(i, j) undone by inv(j), rmul(i, j), inv(j)."""
+    inv = NielsenTransformation.invert
+    undone = []
+    for m in reversed(moves):
+        undone += [m] if m.source is None else [inv(m.source), m, inv(m.source)]
+    return undone
 
 
 def check_letters(letters, rank):

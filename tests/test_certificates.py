@@ -40,13 +40,13 @@ expect_certificate_error(
 ellipticity.word_elliptic = real_elliptic
 
 # Nielsen replay: the move list must rebuild the target basis.
-real_apply = whitehead.apply_nielsen
-whitehead.apply_nielsen = lambda moves, alphabet: whitehead.standard_basis(alphabet)
+real_replay = whitehead._replay
+whitehead._replay = lambda moves, rank, forward=True: real_replay((), rank)
 expect_certificate_error(
     "nielsen_decompose",
     lambda: whitehead.nielsen_decompose([parse_word("ab", A2), parse_word("b", A2)], A2),
 )
-whitehead.apply_nielsen = real_apply
+whitehead._replay = real_replay
 
 # Nielsen reduction: every plateau of a certified basis has a way down,
 # so a non-basis passed as certified must not be reduced silently.
@@ -105,11 +105,10 @@ ellipticity._find_cycle = real_find_cycle
 # The rebase's inverse images must send the combined basis back to the
 # standard letters: identity images do not undo ab -> a.
 ab_b = ellipticity.FreeSplitting(A2, (parse_word("ab", A2),), (parse_word("b", A2),))
-real_apply_nielsen = ellipticity.apply_nielsen
-ellipticity.apply_nielsen = lambda moves, alphabet: whitehead.standard_basis(alphabet)
+ellipticity._replay = lambda moves, rank, forward=True: real_replay((), rank)
 ellipticity._rebase_moves.cache_clear()
 expect_certificate_error("_rebase_moves", lambda: ellipticity.nielsen_bound(ab_b, split))
-ellipticity.apply_nielsen = real_apply_nielsen
+ellipticity._replay = real_replay
 ellipticity._rebase_moves.cache_clear()
 
 # The primitive element must lie in both rebased factors: b is not in <a>.

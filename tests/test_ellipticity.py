@@ -310,10 +310,9 @@ class TestWordElliptic:
 
     def test_trivial_raises(self):
         s = split("a | b")
-        with pytest.raises(TrivialWordError):
-            word_elliptic(parse_word("1", A2), s)
-        with pytest.raises(TrivialWordError):
-            word_elliptic(parse_word("aA", A2), s)
+        for w in (parse_word("1", A2), parse_word("aA", A2), CyclicWord(A2)):
+            with pytest.raises(TrivialWordError, match="ellipticity is defined for nontrivial words"):
+                word_elliptic(w, s)
 
 
 class TestWordsDistanceTwo:

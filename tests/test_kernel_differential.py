@@ -1,6 +1,7 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
 rotation, the code kernel that applies Whitehead automorphisms, the
-Nielsen search, the rebase by image tuples, the parser and the
+Nielsen search, the replay of a move list on code words, the rebase by
+image tuples, the parser and the
 code-backed words returns exactly what the code it replaced returns (the
 oracles in `kernel_oracles.py`)."""
 
@@ -38,11 +39,14 @@ from freegroups.whitehead import (
     _bidirectional_search,
     _elementary_moves,
     _cyclic_image,
+    _rank_ops,
+    _replay,
     Action,
     WhiteheadAut,
     apply_nielsen,
     enumerate_relabelings,
     enumerate_whitehead,
+    standard_basis,
 )
 from freegroups.words import (
     Alphabet,
@@ -707,6 +711,53 @@ class TestRebaseImages:
         w = free_reduce(data.draw(st.lists(letters(rank), max_size=12)), alphabet)
         assert ellipticity._image(forward, w) == oracle.moves_apply_word(moves, w)
         assert ellipticity._image(back, w) == oracle.moves_apply_word_inverse(moves, w)
+
+
+def replayed(moves, rank):
+    """The replay both ways, as tuples of code tuples."""
+    return [tuple(map(tuple, _replay(moves, rank, forward))) for forward in (True, False)]
+
+
+def codes(words):
+    return tuple(w.codes for w in words)
+
+
+class TestReplay:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_word_products(self, data):
+        # Forward, the replay builds the basis that one Word product per
+        # move builds; backward, it gives the inverse automorphism's
+        # images of the letters, which the per-move substitution and the
+        # three-move expansion of each rmul give too.
+        rank = data.draw(st.integers(1, 4))
+        alphabet = Alphabet.of_rank(rank)
+        moves = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=12))
+        forward, backward = replayed(moves, rank)
+        assert forward == codes(oracle.apply_moves(moves, alphabet))
+        assert backward == codes(oracle.moves_apply_word_inverse(moves, x) for x in standard_basis(alphabet))
+        assert backward == codes(oracle.apply_moves(oracle.undo_moves(moves), alphabet))
+        assert apply_nielsen(moves, alphabet) == oracle.apply_moves(moves, alphabet)
+
+    def test_rank_129_words_are_tuples(self):
+        # Codes 256 and up do not fit a byte, so these words are tuples.
+        alphabet = Alphabet.of_rank(129)
+        rmul, inv = NielsenTransformation.right_multiply, NielsenTransformation.invert
+        moves = [rmul(128, 0), inv(0), rmul(3, 128), rmul(0, 3), inv(128)]
+        assert all(isinstance(w, tuple) for w in _replay(moves, 129))
+        forward, backward = replayed(moves, 129)
+        assert forward == codes(oracle.apply_moves(moves, alphabet))
+        assert backward == codes(oracle.moves_apply_word_inverse(moves, x) for x in standard_basis(alphabet))
+
+    def test_builds_no_move_table_or_ball(self):
+        # At rank 600 the move table holds 360,000 moves, and a ball
+        # around the standard basis would grow from it.
+        alphabet = Alphabet.of_rank(600)
+        rmul, inv = NielsenTransformation.right_multiply, NielsenTransformation.invert
+        moves = [rmul(599, 0), inv(0), rmul(300, 599), rmul(0, 300)]
+        tables, balls = _rank_ops.cache_info().currsize, _ball.cache_info().currsize
+        assert apply_nielsen(moves, alphabet) == oracle.apply_moves(moves, alphabet)
+        assert (_rank_ops.cache_info().currsize, _ball.cache_info().currsize) == (tables, balls)
 
 
 def parsed(text, alphabet, parse):

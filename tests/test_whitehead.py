@@ -212,6 +212,19 @@ class TestApplication:
         with pytest.raises(ValueError, match="outside alphabet"):
             WhiteheadAut.multiplier(2, mult, (Action.KEEP, Action.KEEP))
 
+    @pytest.mark.parametrize("action", [2.7, "3", None, -1, 4, 1.0])
+    def test_multiplier_rejects_bad_actions(self, action):
+        # Each entry is checked before it is converted: int() would turn
+        # 2.7 into left and '3' into conj.
+        with pytest.raises(ValueError, match="unknown action"):
+            WhiteheadAut.multiplier(2, Letter(0, 1), [0, action])
+
+    def test_multiplier_takes_ints_and_actions(self):
+        for action in range(4):
+            t = WhiteheadAut.multiplier(2, Letter(0, 1), [0, action])
+            assert t == WhiteheadAut.multiplier(2, Letter(0, 1), [Action.KEEP, Action(action)])
+            assert type(t.actions[1]) is int
+
     @pytest.mark.parametrize(
         "images",
         [(Letter(0, 2), Letter(1, 1)), (Letter(1, 1), Letter(0, 0)), (Letter(-1, 1), Letter(0, 1))],
@@ -595,8 +608,9 @@ class TestPrimitive:
         assert not is_primitive(parse_word("abab", A2))
 
     def test_trivial_raises(self):
-        with pytest.raises(TrivialWordError):
-            is_primitive(parse_word("1", A2))
+        for text in ("1", "aA"):
+            with pytest.raises(TrivialWordError, match="the trivial word is not primitive"):
+                is_primitive(parse_word(text, A2))
 
     def test_matches_oracle_exhaustively(self):
         for w in all_cyclic_words(A2, 4):
@@ -718,9 +732,15 @@ class TestNielsen:
         for make in (lambda: rmul(1, -1), lambda: rmul(-1, 0), lambda: rmul(1, 1), lambda: inv(-1)):
             with pytest.raises(ValueError):
                 make()
+        # Entries index the replay's tuples, so only ints pass.
+        for entries in ((1.5,), (0, "1"), ("0",), (0, 1.0), (0, "")):
+            with pytest.raises(ValueError, match="integer entries"):
+                NielsenTransformation(*entries)
         for move in (inv(2), rmul(0, 2), rmul(2, 0)):
             with pytest.raises(ValueError, match="outside a tuple"):
                 move.apply(standard_basis(A2))
+            with pytest.raises(ValueError, match="outside a tuple of 2 words"):
+                apply_nielsen([inv(0), move], A2)
 
     def test_moves_outside_the_alphabet_are_rejected(self):
         # Over rank 2 there is no third generator to substitute or name.

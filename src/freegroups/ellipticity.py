@@ -17,8 +17,9 @@ splitting distance, where m counts elementary moves relating the bases.
 Both rebase by the automorphism φ sending the standard letters to a
 splitting's combined basis, kept as the letters' images under φ and
 φ⁻¹, so a rebased word is one substitution; φ⁻¹'s images come from
-`whitehead`'s replay of φ's Nielsen moves.  Every answer is re-checked
-by an explicit raise of CertificateError, which `python -O` keeps.
+`whitehead`'s replay of φ's Nielsen moves, and `whitehead` builds and
+applies every image tuple.  Every answer is re-checked by an explicit
+raise of CertificateError, which `python -O` keeps.
 """
 
 from __future__ import annotations
@@ -45,8 +46,10 @@ from .whitehead import (
     PairClass,
     _decompose_basis,
     _free_image,
+    _images,
     _Images,
     _replay,
+    _word_image,
     classify_pair,
     minimize_tuple,
     standard_basis,
@@ -57,7 +60,6 @@ from .words import (
     CyclicWord,
     TrivialWordError,
     Word,
-    _inverse,
     letter_support,
 )
 
@@ -283,21 +285,12 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
     return EllipticityAnswer(True, s)
 
 
-def _images(words: Sequence[Sequence[int]]) -> _Images:
-    """The code images of the endomorphism sending letter g to words[g]."""
-    return tuple([image for w in words for image in (tuple(w), _inverse(w))])
-
-
-def _image(images: _Images, w: Word) -> Word:
-    return Word._of(w.alphabet, _free_image(images, w.codes))
-
-
 @lru_cache(maxsize=256)
 def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]) -> tuple[_Images, _Images]:
-    """The letters' code images under the rebase φ, which sends them to a
-    certified splitting's combined basis, and under φ⁻¹, which
-    `whitehead._replay` runs backward through φ's moves.  φ⁻¹ must send
-    the basis back to the letters, which proves it φ's inverse."""
+    """`whitehead._images` of the letters under the rebase φ, which sends
+    them to a certified splitting's combined basis, and under φ⁻¹, the
+    letters `whitehead._replay`ed backward through φ's moves.  φ⁻¹ must
+    send the basis back to the letters, which proves it φ's inverse."""
     codes = tuple([w.codes for w in combined])
     back = _images(_replay(_decompose_basis(codes, alphabet.rank), alphabet.rank, forward=False))
     if any(_free_image(back, w) != [2 * g] for g, w in enumerate(codes)):
@@ -327,14 +320,14 @@ def primitive_in_intersection(
     k = len(s1.basis_a)
     std = standard_basis(alphabet)
     sub_rose = build_subgroup(list(std[:k] if i1 == 0 else std[k:]), alphabet)
-    rebased_k = build_subgroup([_image(back, u) for u in s2.basis(i2)], alphabet)
+    rebased_k = build_subgroup([_word_image(back, u) for u in s2.basis(i2)], alphabet)
     inter = intersect(sub_rose, rebased_k)
     if inter.is_trivial:
         raise TrivialIntersectionError("the chosen factors intersect trivially")
     x = spanning_tree_basis(inter)[0]
     if not (contains(sub_rose, x) and contains(rebased_k, x)):
         raise CertificateError("the intersection's basis element misses a rebased factor")
-    return _image(forward, x)
+    return _word_image(forward, x)
 
 
 def nielsen_bound(s1: FreeSplitting, s2: FreeSplitting) -> int:

@@ -28,26 +28,28 @@ checked against its predicted length.
 The scan, the orbit, the application of an automorphism and the
 Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
 words store (see `freegroups.words`), so c ^ 1 inverts a letter and no
-step converts a word to Letter objects.  Enumerating automorphisms is
+step converts a word to Letter objects.  Every automorphism, here and
+in the rebase of `freegroups.ellipticity`, acts as an image tuple (one
+word per code) that `_images` builds.  Enumerating automorphisms is
 exponential in the rank, so every enumeration checks its count against
 WHITEHEAD_BUDGET first, and so does the orbit closure before each
 relabeling class it adds.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
-tuple is decomposed into the shortest such move sequence when a
-budgeted search finds it, and by Nielsen reduction otherwise.  A move
-list is replayed by the search's own step, forward, or undone in
-reverse order to give the inverse automorphism.  All three hold a basis
-as a tuple of `bytes` words of vertex codes, converted once at entry: a
-word inverts in C (reversed, then translated by c -> c ^ 1), and a
-product is a plain concatenation unless its junction cancels.  bytes
-holds the codes of ranks up to 128; above that the words are tuples,
-under the same loops.  The search's forward half, the breadth-first
-ball around the standard basis, depends on the rank alone, so every
-search starts from all layers of one shared ball per rank.  It deepens
-by a layer only once the searches' backward halves, private balls
-around their targets, have paid for it.
+tuple is decomposed into the shortest such move sequence when a search
+finds it within its budget, which stops it mid-layer if need be, and by
+Nielsen reduction otherwise.  A move list is replayed by the search's
+own step, forward, or undone in reverse order to give the inverse
+automorphism.  All three hold a basis as a tuple of `bytes` words of
+vertex codes, converted once at entry: a word inverts in C (reversed,
+then translated by c -> c ^ 1), and a product is a plain concatenation
+unless its junction cancels.  bytes holds the codes of ranks up to 128;
+above that the words are tuples, under the same loops.  The search's
+forward half, the breadth-first ball around the standard basis, depends
+on the rank alone, so every search starts from all layers of one shared
+ball per rank.  It deepens by a layer only once the searches' backward
+halves, private balls around their targets, have paid for it.
 """
 
 from __future__ import annotations
@@ -155,23 +157,23 @@ def _actions(rank: int, gen: int, code: int) -> list[int]:
     return actions
 
 
+def _images(words: Iterable[Sequence[int]]) -> _Images:
+    """The code images of the endomorphism sending generator g to words[g]:
+    every image tuple is built here.  A one-letter image inverts inline."""
+    images = []
+    for w in words:
+        w = tuple(w)
+        images += (w, (w[0] ^ 1,) if len(w) == 1 else _inverse(w))
+    return tuple(images)
+
+
 def _multiplier_images(m: int, actions: Sequence[int]) -> _Images:
     """The code images of the multiplier automorphism with multiplier
     vertex m and these actions."""
     n = m ^ 1
-    images = []
-    for g, act in enumerate(actions):
-        x = 2 * g
-        image = ((x,), (x, m), (n, x), (n, x, m))[act]
-        images.append(image)
-        images.append(_inverse(image))
-    return tuple(images)
-
-
-def _relabeling_images(codes: Sequence[int]) -> _Images:
-    """The code images of the relabeling that sends generator g to the
-    letter with code codes[g]."""
-    return tuple([image for c in codes for image in ((c,), (c ^ 1,))])
+    return _images(
+        [((2 * g,), (2 * g, m), (n, 2 * g), (n, 2 * g, m))[act] for g, act in enumerate(actions)]
+    )
 
 
 def _free_image(images: _Images, word: Iterable[int]) -> list[int]:
@@ -188,18 +190,17 @@ def _free_image(images: _Images, word: Iterable[int]) -> list[int]:
     return out
 
 
-def _cyclic_core(images: _Images, word: Iterable[int]) -> list[int]:
-    """The cyclically reduced core of the image of a code word, not yet
-    rotated: junction cancellation, then cyclic reduction."""
-    out = _free_image(images, word)
-    i = _conjugator_length(out)
-    return out[i : len(out) - i]
+def _word_image(images: _Images, w: Word) -> Word:
+    return Word._of(w.alphabet, _free_image(images, w.codes))
 
 
 def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
-    """The canonical cyclic word of the image of a code word: its cyclic
-    core in the least rotation."""
-    core = _cyclic_core(images, word)
+    """The canonical cyclic word of the image of a code word: junction
+    cancellation, cyclic reduction, then the least rotation.  The descent
+    and the orbit both take their images here."""
+    out = _free_image(images, word)
+    i = _conjugator_length(out)
+    core = out[i : len(out) - i]
     k = _least_rotation_start(core)
     return tuple(core[k:] + core[:k])
 
@@ -249,17 +250,17 @@ class WhiteheadAut(object):
     @cached_property
     def _code_images(self) -> _Images:
         if self.images is not None:
-            return _relabeling_images([l.code for l in self.images])
+            return _images([(l.code,) for l in self.images])
         assert self.mult is not None and self.actions is not None
         return _multiplier_images(self.mult.code, self.actions)
 
     def apply_to_word(self, w: Word) -> Word:
         self._check_rank(w.alphabet)
-        return Word._of(w.alphabet, _free_image(self._code_images, w.codes))
+        return _word_image(self._code_images, w)
 
     def apply_to_cyclic(self, w: CyclicWord) -> CyclicWord:
         self._check_rank(w.alphabet)
-        return CyclicWord._of(w.alphabet, _cyclic_core(self._code_images, w.codes))
+        return CyclicWord._of(w.alphabet, _cyclic_image(self._code_images, w.codes), rotate=False)
 
     def _check_rank(self, alphabet: Alphabet) -> None:
         if alphabet.rank != self.rank:
@@ -532,7 +533,7 @@ def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tupl
     as a class brings in `goal`, returning the closure found so far."""
     _check_relabelings(rank)
     target = sum(map(len, start))
-    relabelings = [_relabeling_images(codes) for codes in _signed_permutations(rank)]
+    relabelings = [_images([(c,) for c in codes]) for codes in _signed_permutations(rank)]
     orbit: set[tuple] = set()
     queue: deque[tuple] = deque()
     computed = 0
@@ -726,15 +727,14 @@ def _rank_ops(rank: int) -> tuple[type, Callable, _Moves]:
 
 
 def _successors(
-    state: _State, moves: _Moves, invert: Callable, forward: bool
+    state: _State, moves: _Moves, inverses: "Sequence | dict", forward: bool
 ) -> list[tuple[_State, NielsenTransformation]]:
     """(new state, move) for each move in order: the move applied to the
     state, or, walking backward, the state the move carries to it.  The
-    words are inverted once and shared among the moves: an inversion
-    takes the inverse, and rmul(i, j) undone multiplies by the inverse
-    of entry j.  Both factors are reduced and nonempty, so a product is
-    a plain concatenation unless its junction cancels."""
-    inverses = [invert(w) for w in state]
+    caller gives the inverses, by entry, that the moves read: an
+    inversion takes one, and rmul(i, j) undone multiplies by entry j's.
+    Both factors are reduced and nonempty, so a product is a plain
+    concatenation unless its junction cancels."""
     tails = state if forward else inverses
     out = []
     for move, i, j in moves:
@@ -751,12 +751,14 @@ def _replay(moves: Sequence[NielsenTransformation], rank: int, forward: bool = T
     """The standard basis carried through the moves, one `_successors`
     step each: forward in order to the basis they build, the letters'
     images under the automorphism φ they present, or backward, each
-    move undone in reverse order, to φ⁻¹'s images."""
+    move undone in reverse order, to φ⁻¹'s images.  A step inverts the
+    one entry its move may read: an inversion's target, an rmul's source."""
     pack, invert = _packing(rank)
     state = tuple([pack((2 * g,)) for g in range(rank)])
     for m in moves if forward else reversed(moves):
         m._check_within(rank, "a tuple of %d words")
-        state = _successors(state, [(m, m.target, m.source)], invert, forward)[0][0]
+        k = m.target if m.source is None else m.source
+        state = _successors(state, [(m, m.target, m.source)], {k: invert(state[k])}, forward)[0][0]
     return state
 
 
@@ -796,23 +798,27 @@ class _Ball(object):
         self.spent = 0
         self.lock = threading.Lock()
 
-    def grow(self) -> list[_State]:
-        """Grow the ball by one layer, and return its states."""
+    def grow(self, limit: float = math.inf) -> list[_State] | None:
+        """Grow the ball by one layer and return its states, or drop the
+        layer and return None once an expanded state passes `limit` states."""
         links, fresh = self.links, []
         try:
             for state in self.layers[-1]:
-                for new, move in _successors(state, self.moves, self.invert, self.forward):
+                inverses = [self.invert(w) for w in state]
+                for new, move in _successors(state, self.moves, inverses, self.forward):
                     if new not in links:
                         links[new] = (state, move)
                         fresh.append(new)
-        except BaseException:
-            # An interrupted layer would be taken as complete later.
-            for state in fresh:
-                del links[state]
-            raise
-        self.layers.append(fresh)
-        self.sizes.append(self.sizes[-1] + len(fresh))
-        return fresh
+                if len(links) > limit:
+                    return None
+            self.layers.append(fresh)
+            self.sizes.append(self.sizes[-1] + len(fresh))
+            return fresh
+        finally:
+            # A stopped or interrupted layer would be taken as complete later.
+            if self.layers[-1] is not fresh:
+                for state in fresh:
+                    del links[state]
 
     def settle(self, depth: int, spent: int) -> None:
         """Cut the ball back to `depth`, or one layer deeper once the
@@ -837,7 +843,8 @@ _ball = lru_cache(maxsize=None)(_Ball)
 def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformation] | None:
     """Shortest elementary move sequence from the standard basis to the
     target, by bidirectional breadth-first search.  None past
-    NIELSEN_BUDGET states (the caller falls back to `_reduction_moves`).
+    NIELSEN_BUDGET states (the caller falls back to `_reduction_moves`),
+    checked after each expanded state: a layer may be n^2 times its last.
 
     The forward side starts as all layers of the rank's shared `_Ball`,
     and the target is looked up in them.  Then each step grows the side
@@ -855,14 +862,13 @@ def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformati
         try:
             if backward.root in forward.links:
                 return _path(forward.links, backward.root)[::-1]
-            balls, free = (forward, backward), forward.sizes[-1] - 1
+            balls, cap = (forward, backward), NIELSEN_BUDGET + forward.sizes[-1] - 1
             while True:
                 last = [ball.layers[-1] for ball in balls]
-                size = forward.sizes[-1] - free + backward.sizes[-1]
-                if not all(last) or size > NIELSEN_BUDGET:
-                    return None
                 side = len(last[0]) > len(last[1])
-                fresh = balls[side].grow()
+                fresh = balls[side].grow(cap - balls[not side].sizes[-1]) if all(last) else None
+                if fresh is None:
+                    return None
                 links = balls[not side].links
                 if links.keys().isdisjoint(fresh):
                     continue
@@ -898,7 +904,7 @@ def _reduction_moves(target: Sequence[Sequence[int]]) -> list[NielsenTransformat
         if not queue:
             raise CertificateError("Nielsen reduction met no tuple shorter than %d" % length)
         current = queue.popleft()
-        for new, move in _successors(current, moves, invert, False):
+        for new, move in _successors(current, moves, [invert(w) for w in current], False):
             size = sum(map(len, new))
             if size > length or new in links:
                 continue

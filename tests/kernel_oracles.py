@@ -363,7 +363,9 @@ def bidirectional_search(target_key, rank, node_budget, resident=0):
     """The Nielsen search on (gen, sign) pairs, reducing every product
     in full and inverting a word for every move that needs it.  The
     forward side starts with its first `resident` layers reached, which
-    do not count against the budget; the target is looked up in them."""
+    do not count against the budget; the target is looked up in them.
+    The count is checked after each expanded state, and a layer that
+    passes the budget ends the search with None, meets or not."""
     if (rank, resident) not in _resident_layers:
         _resident_layers[rank, resident] = _raw_layers(rank, resident)
     parents_f, frontier_f = _resident_layers[rank, resident]
@@ -396,8 +398,6 @@ def bidirectional_search(target_key, rank, node_budget, resident=0):
     if target_key in parents_f:
         return rebuild(target_key)
     while frontier_f and frontier_b:
-        if len(parents_f) - free + len(parents_b) > node_budget:
-            return None
         forward = len(frontier_f) <= len(frontier_b)
         frontier = frontier_f if forward else frontier_b
         parents = parents_f if forward else parents_b
@@ -412,6 +412,8 @@ def bidirectional_search(target_key, rank, node_budget, resident=0):
                 fresh.append(new)
                 if new in other:
                     meets.append(new)
+            if len(parents_f) - free + len(parents_b) > node_budget:
+                return None
         if meets:
             best = min(meets, key=lambda m: depth(other, m))
             return rebuild(best)

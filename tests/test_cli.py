@@ -1,5 +1,6 @@
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -256,6 +257,28 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024)
         assert cold == deep == repr((0, "52\n", ""))
         assert int(depth) == 4
         assert int(rss_mb) < 200
+
+    # A rank-20 request whose search layers grow up to 400-fold:
+    # finishing a layer before checking the budget exhausts memory.
+    RANK_20 = [
+        "nielsen-bound", "-n", "20",
+        "split abc | bcd cde def efg fgh ghi hij ijk jkl klm lmn mno nop opq pqr qrs rst s t",
+        "split a | b c d e f g h i j k l m n o p q r s t",
+    ]
+
+    def test_search_budget_holds_mid_layer(self):
+        # Under a 2 GB address-space cap the search stops at its budget
+        # and the reduction gives an even bound.
+        def cap():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, hard))
+
+        done = subprocess.run(
+            [sys.executable, "-m", "freegroups.cli", *self.RANK_20],
+            env=child_env(), capture_output=True, text=True, timeout=120, preexec_fn=cap,
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) % 2 == 0
 
     def test_nielsen_reduction_budget(self, monkeypatch):
         monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 3)

@@ -41,6 +41,7 @@ from freegroups.whitehead import (
     _cyclic_image,
     _rank_ops,
     _replay,
+    _word_image,
     Action,
     WhiteheadAut,
     apply_nielsen,
@@ -628,6 +629,36 @@ class TestNielsenSearch:
             expected = oracle.bidirectional_search(pair_key(words), rank, self.BUDGET, depth)
             assert search(tuple(w.codes for w in words), rank, self.BUDGET, depth) == expected
 
+    def test_a_layer_stops_at_the_budget(self, monkeypatch):
+        # On a fresh rank-5 ball the third layer would pass a budget of
+        # 1,000 states about eightfold and meet the target inside it.
+        # The search stops in that layer and drops it, so no state is
+        # expanded while more than the budget is held.
+        monkeypatch.setattr(whitehead, "NIELSEN_BUDGET", 1_000)
+        _ball.cache_clear()
+        forward, balls, held = _ball(5), [], []
+
+        class Backward(whitehead._Ball):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                balls.append(self)
+
+        real = whitehead._successors
+
+        def counting(state, moves, inverses, go_forward):
+            held.append(len(forward.links) - 1 + sum(len(b.links) for b in balls))
+            return real(state, moves, inverses, go_forward)
+
+        monkeypatch.setattr(whitehead, "_Ball", Backward)
+        monkeypatch.setattr(whitehead, "_successors", counting)
+        target = tuple(parse_word(t, Alphabet.of_rank(5)).codes for t in ("abc", "bcd", "cde", "d", "e"))
+        try:
+            assert _bidirectional_search(target, 5) is None
+            assert 900 < max(held) <= 1_000
+            self.check_consistent(balls[0])
+        finally:
+            _ball.cache_clear()
+
     @pytest.mark.parametrize("move", [
         NielsenTransformation.invert(128),
         NielsenTransformation.right_multiply(128, 0),
@@ -709,8 +740,8 @@ class TestRebaseImages:
         moves = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=8))
         forward, back = ellipticity._rebase_moves(alphabet, apply_nielsen(moves, alphabet))
         w = free_reduce(data.draw(st.lists(letters(rank), max_size=12)), alphabet)
-        assert ellipticity._image(forward, w) == oracle.moves_apply_word(moves, w)
-        assert ellipticity._image(back, w) == oracle.moves_apply_word_inverse(moves, w)
+        assert _word_image(forward, w) == oracle.moves_apply_word(moves, w)
+        assert _word_image(back, w) == oracle.moves_apply_word_inverse(moves, w)
 
 
 def replayed(moves, rank):
@@ -748,6 +779,28 @@ class TestReplay:
         forward, backward = replayed(moves, 129)
         assert forward == codes(oracle.apply_moves(moves, alphabet))
         assert backward == codes(oracle.moves_apply_word_inverse(moves, x) for x in standard_basis(alphabet))
+
+    @pytest.mark.parametrize("rank", [3, 600])
+    def test_inverts_one_entry_per_move(self, monkeypatch, rank):
+        # A move reads at most one inverse, so replaying m moves inverts
+        # at most m words, not every entry at every move.
+        alphabet = Alphabet.of_rank(rank)
+        rmul, inv = NielsenTransformation.right_multiply, NielsenTransformation.invert
+        moves = [rmul(rank - 1, 0), inv(0), rmul(rank // 2, rank - 1), rmul(0, rank // 2)]
+        pack, invert = whitehead._packing(rank)
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return invert(w)
+
+        monkeypatch.setattr(whitehead, "_packing", lambda r: (pack, counting))
+        for forward in (True, False):
+            calls.clear()
+            expected = oracle.apply_moves(moves, alphabet) if forward else tuple(
+                oracle.moves_apply_word_inverse(moves, x) for x in standard_basis(alphabet))
+            assert tuple(map(tuple, _replay(moves, rank, forward))) == codes(expected)
+            assert len(calls) <= len(moves)
 
     def test_builds_no_move_table_or_ball(self):
         # At rank 600 the move table holds 360,000 moves, and a ball

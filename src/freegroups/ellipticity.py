@@ -48,6 +48,7 @@ from .whitehead import (
     _free_image,
     _images,
     _Images,
+    _multiplier_images,
     _replay,
     _word_image,
     classify_pair,
@@ -259,6 +260,7 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
     word when the supports are disjoint, on the union of the supports
     when a generator is missed -- and the letters' images under the
     inverted descent pull it back to a splitting of the input pair.
+    Flipping a step's multiplier sign undoes every action kind.
     """
     if v.alphabet != w.alphabet:
         raise AlphabetMismatchError("pair over different alphabets")
@@ -275,7 +277,7 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
         x1 = set(letter_support(mv) | letter_support(mw))
     images = [[2 * g] for g in range(alphabet.rank)]
     for t in reversed(descent):
-        back = t.inverse()._code_images
+        back = _multiplier_images(t.mult.code ^ 1, t.actions)
         images = [_free_image(back, u) for u in images]
     a = [Word._of(alphabet, images[g]) for g in sorted(x1)]
     b = [Word._of(alphabet, images[g]) for g in range(alphabet.rank) if g not in x1]

@@ -20,9 +20,10 @@ cap(A) - deg(m), the number of edges leaving A minus the degree of m
 (Whitehead 1936; Roig-Ventura-Weil 2007).  A max flow between x and
 x^-1 bounds the change of every multiplier x or x^-1 at once, so most
 blocks of candidates are never scored.  Descent scores the rest in
-enumeration order, takes the first that shortens, and applies only
-that one; the orbit closure applies only the multipliers that score
-zero, then every relabeling to what they reach.  Each applied move is
+enumeration order and applies only the first that shortens, a
+(multiplier vertex, action code); its words are rotated once, at the
+end.  The orbit closure applies only the multipliers that score zero,
+then every relabeling to what they reach.  Each applied multiplier is
 checked against its predicted length.
 
 The scan, the orbit, the application of an automorphism and the
@@ -30,10 +31,10 @@ Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
 words store (see `freegroups.words`), so c ^ 1 inverts a letter and no
 step converts a word to Letter objects.  Every automorphism, here and
 in the rebase of `freegroups.ellipticity`, acts as an image tuple (one
-word per code) that `_images` builds.  Enumerating automorphisms is
-exponential in the rank, so every enumeration checks its count against
-WHITEHEAD_BUDGET first, and so does the orbit closure before each
-relabeling class it adds.
+word per code) that `_images` builds; the orbit's relabelings are flat
+code maps.  Enumerating automorphisms is exponential in the rank, so
+every enumeration checks its count against WHITEHEAD_BUDGET first, and
+so does the orbit closure before each relabeling class it adds.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -195,14 +196,18 @@ def _word_image(images: _Images, w: Word) -> Word:
 
 
 def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
-    """The canonical cyclic word of the image of a code word: junction
-    cancellation, cyclic reduction, then the least rotation.  The descent
-    and the orbit both take their images here."""
+    """The cyclically reduced image of a code word, unrotated: the
+    descent rotates its words once, at its end, and the orbit and
+    `WhiteheadAut.apply_to_cyclic` rotate their own images."""
     out = _free_image(images, word)
     i = _conjugator_length(out)
-    core = out[i : len(out) - i]
-    k = _least_rotation_start(core)
-    return tuple(core[k:] + core[:k])
+    return tuple(out[i : len(out) - i])
+
+
+def _rotated(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The least rotation of a code word, by Booth's algorithm."""
+    k = _least_rotation_start(word)
+    return word[k:] + word[:k]
 
 
 @dataclass(frozen=True)
@@ -260,7 +265,7 @@ class WhiteheadAut(object):
 
     def apply_to_cyclic(self, w: CyclicWord) -> CyclicWord:
         self._check_rank(w.alphabet)
-        return CyclicWord._of(w.alphabet, _cyclic_image(self._code_images, w.codes), rotate=False)
+        return CyclicWord._of(w.alphabet, _cyclic_image(self._code_images, w.codes))
 
     def _check_rank(self, alphabet: Alphabet) -> None:
         if alphabet.rank != self.rank:
@@ -479,26 +484,31 @@ def minimize_tuple(
     """First-improvement descent to the minimal total length in the orbit.
 
     Each step scores the multiplier automorphisms in enumeration order on
-    the Whitehead graph and applies the first that shortens the tuple.
-    Returns the minimal tuple and the automorphisms applied, in order.
-    Entry order is preserved throughout.
+    the Whitehead graph and applies the first that shortens the tuple,
+    a (multiplier vertex, action code), to the code words; they are
+    rotated once, after the last step.  Returns the minimal tuple and the
+    automorphisms applied, in order.  Entry order is preserved throughout.
     """
     current = tuple(ws)
     alphabet = _common_alphabet(current)
+    rank, words = alphabet.rank, [w.codes for w in current]
     descent: list[WhiteheadAut] = []
     length = total_length(current)
     while True:
-        words = [w.codes for w in current]
-        for m, code, change in _length_changes(words, alphabet.rank, -1):
+        for m, code, change in _length_changes(words, rank, -1):
             if change < 0:
                 break
         else:
-            return current, descent
-        t = _multiplier(alphabet.rank, m, code)
-        current = tuple([t.apply_to_cyclic(w) for w in current])
+            break
+        actions = tuple(_actions(rank, m >> 1, code))
+        images = _multiplier_images(m, actions)
+        words = [_cyclic_image(images, w) for w in words]
         length += change
-        _check_predicted(total_length(current), length)
-        descent.append(t)
+        _check_predicted(sum(map(len, words)), length)
+        descent.append(WhiteheadAut(rank, _arc_letters(rank)[m], actions))
+    if descent:
+        current = tuple([CyclicWord._of(alphabet, w) for w in words])
+    return current, descent
 
 
 def equal_length_orbit(
@@ -528,20 +538,25 @@ def equal_length_orbit(
     return {tuple([CyclicWord._of(alphabet, w, rotate=False) for w in member]) for member in orbit}
 
 
+@lru_cache(maxsize=None)
+def _relabelings(rank: int) -> tuple[bytes, ...]:
+    """Each relabeling as its flat code map (byte c codes letter c's
+    image), in the order of enumerate_relabelings."""
+    return tuple([bytes([c ^ f for c in cs for f in (0, 1)]) for cs in _signed_permutations(rank)])
+
+
 def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tuple]:
     """equal_length_orbit on code words in least rotation.  Stops as soon
-    as a class brings in `goal`, returning the closure found so far."""
+    as a class brings in `goal`, returning the closure found so far.
+    The rank's relabelings are built once, by `_relabelings`.  One never
+    cancels a letter, so it maps the codes one by one; a multiplier image
+    comes from `_cyclic_image` and is checked.  Each image is rotated once."""
     _check_relabelings(rank)
+    relabelings = _relabelings(rank)
     target = sum(map(len, start))
-    relabelings = [_images([(c,) for c in codes]) for codes in _signed_permutations(rank)]
     orbit: set[tuple] = set()
     queue: deque[tuple] = deque()
     computed = 0
-
-    def image(images: _Images, member: tuple) -> tuple:
-        out = tuple([_cyclic_image(images, w) for w in member])
-        _check_predicted(sum(map(len, out)), target)
-        return out
 
     def add_class(member: tuple) -> None:
         nonlocal computed
@@ -551,7 +566,7 @@ def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tupl
                 "the orbit closure needs at least %d relabeling images, over the budget of %d"
                 % (computed, WHITEHEAD_BUDGET)
             )
-        orbit.update(image(r, member) for r in relabelings)
+        orbit.update(tuple([_rotated(tuple([r[c] for c in w])) for w in member]) for r in relabelings)
         queue.append(member)
 
     add_class(start)
@@ -559,7 +574,9 @@ def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tupl
         current = queue.popleft()
         for m, code, change in _length_changes(current, rank, 0):
             if change == 0:
-                reached = image(_multiplier_images(m, _actions(rank, m >> 1, code)), current)
+                images = _multiplier_images(m, _actions(rank, m >> 1, code))
+                reached = tuple([_rotated(_cyclic_image(images, w)) for w in current])
+                _check_predicted(sum(map(len, reached)), target)
                 if reached not in orbit:
                     add_class(reached)
                     if goal in orbit:

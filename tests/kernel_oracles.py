@@ -14,14 +14,16 @@ each round, intersect builds the whole product, arcs_from scans every
 edge, the conjugacy search tries every rotation at every vertex and
 the least rotation compares all n rotations; a Whitehead automorphism
 rewrites `Letter`s one by one, then reduces, cyclically reduces and
-rotates in full; the Nielsen search keys its states by (gen, sign)
-pairs, reduces every product in full and starts from as many forward
-layers as the library's shared ball holds; a move list acts on a word by
-one letter substitution per move, where the rebase substitutes the
-image words of the automorphism once, and acts on the standard basis
-by one `Word` product per move, where the library replays code words;
-its inverse is replayed with each rmul(i, j) spelled as inv(j),
-rmul(i, j), inv(j), as the rebase once did; the parser reads every
+rotates in full; the Whitehead descent builds a public automorphism
+per step and rotates every word after every step; the Nielsen search
+keys its states by (gen, sign) pairs, reduces every product in full and
+starts from as many forward layers as the library's shared ball holds;
+a move list acts on a word by one letter substitution per move, where
+the rebase substitutes the image words of the automorphism once, and
+acts on the standard basis by one `Word` product per move, where the
+library replays code words; its inverse is replayed with each
+rmul(i, j) spelled as inv(j), rmul(i, j), inv(j), as the rebase once
+did; the parser reads every
 character by its case.  Words are tuples of `Letter`s, checked,
 reduced and rotated letter by letter, as `Word` and `CyclicWord` were
 before they stored vertex codes; the Nielsen search's words are signed
@@ -42,7 +44,14 @@ from __future__ import annotations
 import string
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
-from freegroups.whitehead import NielsenTransformation, _elementary_moves, standard_basis
+from freegroups.whitehead import (
+    NielsenTransformation,
+    _check_predicted,
+    _elementary_moves,
+    _length_changes,
+    _multiplier,
+    standard_basis,
+)
 from freegroups.words import Letter, Word, WordFormatError, free_reduce
 
 
@@ -267,6 +276,27 @@ def whitehead_cyclic(t, w):
     while i < j - 1 and letters[i] == letters[j - 1].inverse():
         i, j = i + 1, j - 1
     return least_rotation(letters[i:j])
+
+
+def whitehead_descent(ws):
+    """minimize_tuple as it ran on `CyclicWord`s: each step builds the
+    public multiplier automorphism (mult, actions) and applies it to
+    every word by apply_to_cyclic, which rotates every image."""
+    current = tuple(ws)
+    rank = current[0].alphabet.rank
+    descent = []
+    length = sum(len(w) for w in current)
+    while True:
+        for m, code, change in _length_changes([w.codes for w in current], rank, -1):
+            if change < 0:
+                break
+        else:
+            return current, descent
+        t = _multiplier(rank, m, code)
+        current = tuple([t.apply_to_cyclic(w) for w in current])
+        length += change
+        _check_predicted(sum(len(w) for w in current), length)
+        descent.append(t)
 
 
 def conjugator_into(h, w):

@@ -56,7 +56,7 @@ expect_certificate_error(
 )
 
 # Whitehead-graph scoring: every applied move must give the predicted length.
-# Both the descent and the orbit take each image from _cyclic_image.
+# The descent and the orbit take each multiplier image from _cyclic_image.
 whitehead._cyclic_image = lambda images, word: (0, 2, 2)
 expect_certificate_error(
     "minimize_tuple", lambda: whitehead.minimize_tuple((parse_cyclic("ab", A2),))

@@ -1,7 +1,7 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
 rotation, the code kernel that applies Whitehead automorphisms, the
-Nielsen search, the replay of a move list on code words, the rebase by
-image tuples, the parser and the
+Nielsen search, the Whitehead descent on code words, the replay of a move
+list on code words, the rebase by image tuples, the parser and the
 code-backed words returns exactly what the code it replaced returns (the
 oracles in `kernel_oracles.py`)."""
 
@@ -38,7 +38,11 @@ from freegroups.whitehead import (
     _ball,
     _bidirectional_search,
     _elementary_moves,
+    _actions,
     _cyclic_image,
+    _free_image,
+    _multiplier,
+    _multiplier_images,
     _rank_ops,
     _replay,
     _word_image,
@@ -47,6 +51,7 @@ from freegroups.whitehead import (
     apply_nielsen,
     enumerate_relabelings,
     enumerate_whitehead,
+    minimize_tuple,
     standard_basis,
 )
 from freegroups.words import (
@@ -420,7 +425,10 @@ def check_kernel(t, w):
     assert t.apply_to_word(w).letters == oracle.whitehead_word(t, w)
     c = CyclicWord.from_word(w)
     expected = oracle.whitehead_cyclic(t, c)
-    assert _cyclic_image(t._code_images, c.codes) == tuple(l.code for l in expected)
+    # _cyclic_image leaves the rotation to its caller: canonically
+    # rotated, and so checked cyclically reduced, it is the oracle's.
+    image = _cyclic_image(t._code_images, c.codes)
+    assert CyclicWord._of(c.alphabet, image).codes == tuple(l.code for l in expected)
     assert t.apply_to_cyclic(c).letters == expected
 
 
@@ -484,6 +492,37 @@ class TestMultiplierKernel:
             w = parse_word(text, alphabet)
             for t in enumerate_whitehead(alphabet.rank):
                 check_kernel(t, w)
+
+
+@st.composite
+def descent_tuples(draw):
+    """One to three cyclic words of up to 20 letters at ranks 2-5."""
+    rank = draw(st.sampled_from((2, 3, 4, 5)))
+    alphabet = Alphabet.of_rank(rank)
+    words = draw(st.lists(st.lists(letters(rank), min_size=1, max_size=20), min_size=1, max_size=3))
+    return tuple(CyclicWord.from_word(free_reduce(w, alphabet)) for w in words)
+
+
+class TestDescent:
+    @settings(max_examples=80, deadline=None)
+    @given(descent_tuples())
+    def test_matches_the_automorphism_descent(self, ws):
+        # Both the minimal tuple and the automorphisms taken, in order.
+        assert minimize_tuple(ws) == oracle.whitehead_descent(ws)
+
+    def test_flipped_multiplier_inverts(self):
+        # Every multiplier automorphism at ranks 2-4: the images with the
+        # multiplier's sign flipped are the public inverse's, and they
+        # send each letter's forward image back to the letter.
+        for rank in (2, 3, 4):
+            for m in range(2 * rank):
+                for code in range(1, 4 ** (rank - 1)):
+                    actions = _actions(rank, m >> 1, code)
+                    forward = _multiplier_images(m, actions)
+                    back = _multiplier_images(m ^ 1, actions)
+                    assert back == _multiplier(rank, m, code).inverse()._code_images
+                    for c in range(2 * rank):
+                        assert _free_image(back, forward[c]) == [c]
 
 
 @st.composite

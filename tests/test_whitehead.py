@@ -427,14 +427,15 @@ class TestDescentWork:
 
     @pytest.mark.parametrize("rank,texts,steps", CASES)
     def test_applies_only_the_moves_taken(self, monkeypatch, rank, texts, steps):
+        # Each step images every word once, on its code word.
         calls = []
-        original = WhiteheadAut.apply_to_cyclic
+        original = whitehead._cyclic_image
 
-        def counting(self, w):
-            calls.append(self)
-            return original(self, w)
+        def counting(images, word):
+            calls.append(word)
+            return original(images, word)
 
-        monkeypatch.setattr(WhiteheadAut, "apply_to_cyclic", counting)
+        monkeypatch.setattr(whitehead, "_cyclic_image", counting)
         ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
         _, descent = minimize_tuple(ws)
         assert len(descent) == steps
@@ -452,16 +453,24 @@ class TestDescentWork:
         monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
         monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
         _, descent = minimize_tuple(ws)
-        assert len(calls) == len(ws) * len(descent)
+        # The words are rotated once, at the end, and only if they moved.
+        assert len(calls) == (len(ws) if descent else 0)
 
 
     @pytest.mark.parametrize("rank,texts", [(2, "abAB"), (3, "abc"), (3, "abAB c"), (3, "aab bc")])
     def test_orbit_rotates_each_image_once(self, monkeypatch, rank, texts):
-        # Each image comes out of _cyclic_image in its least rotation, so
+        # Each image, a multiplier's from _cyclic_image or a relabeling's
+        # from one pass over the rank's relabelings, is rotated once, so
         # the members are built without a second rotation.
         ws = tuple(parse_cyclic(t, Alphabet.of_rank(rank)) for t in texts.split())
-        rotations, images = [], []
+        rotations, images, passes = [], [], []
         original = whitehead._cyclic_image
+        relabelings = whitehead._relabelings
+
+        class Counting(tuple):
+            def __iter__(self):
+                passes.append(len(self))
+                return super().__iter__()
 
         def counting(keys):
             rotations.append(len(keys))
@@ -474,8 +483,10 @@ class TestDescentWork:
         monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
         monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
         monkeypatch.setattr(whitehead, "_cyclic_image", imaging)
+        monkeypatch.setattr(whitehead, "_relabelings", lambda rank: Counting(relabelings(rank)))
         orbit = equal_length_orbit(ws)
-        assert len(rotations) == len(images)
+        assert passes
+        assert len(rotations) == len(images) + len(ws) * sum(passes)
         monkeypatch.undo()
         for member in orbit:
             assert member == tuple(CyclicWord._of(w.alphabet, w.codes) for w in member)
@@ -544,6 +555,26 @@ class TestBudgets:
         with pytest.raises(WhiteheadBudgetError, match="orbit closure"):
             same_orbit((cyc("aabbcc", A3),), (cyc("aaabbb", A3),))
         assert same_orbit((cyc("aabbcc", A3),), (cyc("aacbbc", A3),))
+
+    def test_orbit_builds_the_relabelings_once_per_rank(self, monkeypatch):
+        # The orbit keeps each rank's relabelings, and checks the budget
+        # before it builds them.
+        walks = []
+        original = whitehead._signed_permutations
+
+        def counting(rank):
+            walks.append(rank)
+            return original(rank)
+
+        monkeypatch.setattr(whitehead, "_signed_permutations", counting)
+        whitehead._relabelings.cache_clear()
+        a4 = Alphabet.of_rank(4)
+        assert len(equal_length_orbit((cyc("a", a4),))) == 8
+        assert len(equal_length_orbit((cyc("aa", a4),))) == 8
+        assert walks == [4]
+        message = "error: rank 7 has 645120 relabelings, over the budget of 50000\n"
+        assert run(["orbit", "-n", "7", "ab"]) == (2, "", message)
+        assert walks == [4]
 
     def test_same_orbit_stops_at_a_match(self):
         # bbaaccddee relabels aabbccddee, so the closure's first class

@@ -15,10 +15,12 @@ generation test read each word in from the base along the arcs that
 exist, so most of the wedge is never made; `fold` pushes a graph's
 edges.  The folded graph of freely reduced generators is the core at
 the base, so no peel runs; `core` serves other graphs, such as
-products.  Each graph keeps one adjacency table, `XDigraph._arcs`:
-per vertex, its sorted arcs (letter code, head, edge index), bucketed
-from the edges once.  Degrees, the folding test, steps, reachability,
-cycles and breadth-first trees read it; `with_base` copies share it.
+products.  Each graph caches two adjacency tables.  `XDigraph._arcs`
+holds per vertex its sorted arcs (letter code, head, edge index),
+bucketed from the edges once; degrees, reachability, cycles and
+breadth-first trees read it.  `_step_index` maps (vertex, letter code)
+to head, built from `_arcs`; the folding test, steps and walks read it.
+`with_base` copies share both.
 
 Graphs are immutable after construction; all functions are pure.
 """
@@ -609,8 +611,10 @@ def has_cycle(g: XDigraph) -> bool:
 
 def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
     """The first cycle discovered by depth-first search, as (label word,
-    anchor vertex).  The word is a nontrivial cyclically reduced label of
-    a closed path at the anchor.  None when the graph is a forest."""
+    anchor vertex), or None when the graph is a forest.  The word labels
+    a closed path at the anchor; on a folded graph it is nontrivial and
+    cyclically reduced.  An unfolded graph may get an unreduced label:
+    two parallel a-edges give `a A`."""
     found = _find_cycle(g)
     if found is None:
         return None
@@ -654,7 +658,10 @@ def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
 
 
 def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
-    """The label of a shortest u-to-v path in the symmetrized graph."""
+    """The free reduction of the label of a shortest u-to-v path in the
+    symmetrized graph.  On a folded graph it labels that path.  On an
+    unfolded graph it need not label any u-to-v path: for 0 -a-> 1 <-a- 2
+    the path from 0 to 2 reads `a A`, and the result is the trivial word."""
     g._check_vertex(u)
     g._check_vertex(v)
     tree = _bfs_tree(g, u)

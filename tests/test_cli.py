@@ -1,5 +1,7 @@
+import io
 import os
 import random
+import re
 import resource
 import shlex
 import subprocess
@@ -386,6 +388,50 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_only_a_parsed_iso_reads_stdin(self, capsys, monkeypatch):
+        # Help and usage errors must not wait for standard input to close.
+        class Unreadable:
+            def read(self):
+                raise RuntimeError("standard input was read")
+
+        monkeypatch.setattr(sys, "stdin", Unreadable())
+        assert main(["iso", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: fgt iso ")
+        assert main(["iso"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: fgt iso ") and "error:" in captured.err
+        assert main(["reduce", "-n", "2", "ab"]) == 0
+        assert capsys.readouterr().out == "ab\n"
+
+    def test_iso_reads_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(GRAPH_BAB + "\n" + GRAPH_BAB))
+        assert main(["iso", "-n", "2"]) == 0
+        assert capsys.readouterr().out == "true\n"
+
+
+COMMANDS = (
+    "reduce", "cyclic", "graph", "member", "basis", "type", "intersect", "conjugate", "iso",
+    "wmin", "orbit", "primitive", "good", "dist2-split", "dist2-word", "prim-intersect",
+    "nielsen-bound",
+)
+
+
+class TestCommandSet:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_help(self, command):
+        code, out, err = run([command, "--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: fgt %s " % command)
+
+    def test_top_level_help_lists_each_command_once(self):
+        code, out, err = run(["--help"])
+        assert (code, err) == (0, "")
+        # Command names sit at a four-space indent under "command"; their
+        # wrapped help lines sit deeper.
+        listed = re.findall(r"^    (\S+)", out.split("\n  command\n", 1)[1], re.M)
+        assert sorted(listed) == sorted(COMMANDS)
 
 
 class TestConcurrentRuns:

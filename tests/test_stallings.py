@@ -486,6 +486,13 @@ class TestCycles:
         tree = XDigraph(2, 3, ((0, 1, 0), (1, 2, 1)))
         assert find_cycle(tree) is None
 
+    def test_unfolded_graph_may_get_an_unreduced_label(self):
+        # Two parallel a-edges: the closed path 0 -a-> 1 -A-> 0 is not
+        # cyclically reduced, and folding leaves no cycle at all.
+        g = XDigraph(2, 2, ((0, 1, 0), (0, 1, 0)))
+        assert find_cycle(g) == ((Letter(0, 1), Letter(0, -1)), 0)
+        assert find_cycle(fold(g)) is None
+
 
 class TestSerialization:
     def test_format(self):
@@ -570,3 +577,12 @@ class TestPathWord:
         w = path_word(h.graph, h.base, 1, A2)
         assert str(w) == "b"
         assert path_word(h.graph, 1, 1, A2).is_trivial
+
+    def test_unfolded_graph_gets_the_reduced_label(self):
+        # 0 -a-> 1 <-a- 2: the path from 0 to 2 reads a A, reduced to the
+        # trivial word, which does not lead from 0 to 2.
+        g = XDigraph(2, 3, ((0, 1, 0), (2, 1, 0)))
+        assert path_word(g, 0, 2, A2).is_trivial
+        folded = fold(g)
+        assert folded.vertex_count == 2
+        assert str(path_word(folded, 0, 1, A2)) == "a"

@@ -2,7 +2,8 @@
 deterministic text I/O.
 
 Exit codes: 0 for success (including "yes"/"true" answers), 1 for "no"
-answers to boolean queries, 2 for usage, parse, or semantic errors.
+answers to boolean queries, 2 for usage, parse, semantic or any other
+errors.
 Words use the case format (a, A = a^-1, "1" trivial); subgroups are one
 quoted argument of whitespace-separated generator words; splittings are
 `split <words> | <words>`.
@@ -54,8 +55,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _alphabet_of(args) -> Alphabet:
     if args.rank is not None:
-        if args.rank < 1:
-            raise _Exit(2, "", "error: rank must be at least 1\n")
         if args.rank > len(string.ascii_lowercase):
             raise _Exit(2, "", "error: rank must be at most 26\n")
         return Alphabet.of_rank(args.rank)
@@ -263,7 +262,13 @@ def run(argv, stdin: str = "") -> tuple[int, str, str]:
 
 
 def main(argv=None) -> int:
-    code, out, err = _invoke(sys.argv[1:] if argv is None else argv, sys.stdin.read)
+    try:
+        code, out, err = _invoke(sys.argv[1:] if argv is None else argv, sys.stdin.read)
+    except Exception:
+        # Any other raise, a failed certificate or exhausted memory, is an
+        # error too: exit 2 with its traceback, never 1, the "no" answer.
+        sys.excepthook(*sys.exc_info())
+        return 2
     sys.stdout.write(out)
     sys.stderr.write(err)
     return code

@@ -16,9 +16,10 @@ element of it is primitive), and the Nielsen upper bound 2m on the
 splitting distance, where m counts elementary moves relating the bases.
 Both rebase by the automorphism φ sending the standard letters to a
 splitting's combined basis, kept as the letters' images under φ and
-φ⁻¹, so a rebased word is one substitution; φ⁻¹'s images come from
-`whitehead`'s replay of φ's Nielsen moves, and `whitehead` builds and
-applies every image tuple.  Every answer is re-checked by an explicit
+φ⁻¹, so a rebased word is one substitution; φ⁻¹'s images replay the
+moves of the basis's Nielsen reduction backward, which the basis fixes
+whatever the moves, and `whitehead` builds and applies every image
+tuple.  Every answer is re-checked by an explicit
 raise of CertificateError, which `python -O` keeps.
 """
 
@@ -49,6 +50,7 @@ from .whitehead import (
     _images,
     _Images,
     _multiplier_images,
+    _reduction_moves,
     _replay,
     _word_image,
     classify_pair,
@@ -291,10 +293,13 @@ def words_distance_two(v: CyclicWord, w: CyclicWord) -> EllipticityAnswer:
 def _rebase_moves(alphabet: Alphabet, combined: tuple[Word, ...]) -> tuple[_Images, _Images]:
     """`whitehead._images` of the letters under the rebase φ, which sends
     them to a certified splitting's combined basis, and under φ⁻¹, the
-    letters `whitehead._replay`ed backward through φ's moves.  φ⁻¹ must
-    send the basis back to the letters, which proves it φ's inverse."""
+    letters `whitehead._replay`ed backward through the moves of the
+    basis's Nielsen reduction, `whitehead._reduction_moves`.  The basis
+    fixes φ⁻¹, so any move list gives the same images, and the reduction
+    needs no search.  φ⁻¹ must send the basis back to the letters, which
+    proves it φ's inverse: the moves are never replayed forward."""
     codes = tuple([w.codes for w in combined])
-    back = _images(_replay(_decompose_basis(codes, alphabet.rank), alphabet.rank, forward=False))
+    back = _images(_replay(_reduction_moves(codes), alphabet.rank, forward=False))
     if any(_free_image(back, w) != [2 * g] for g, w in enumerate(codes)):
         raise CertificateError("the inverse rebase does not send the basis to the letters")
     return _images(codes), back

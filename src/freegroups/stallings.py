@@ -137,6 +137,10 @@ class XDigraph(object):
         if not 0 <= v < self.vertex_count:
             raise ValueError("%s %d out of range" % (role, v))
 
+    def _check_alphabet(self, alphabet: Alphabet) -> None:
+        if alphabet.rank != self.rank:
+            raise ValueError("alphabet rank does not match graph")
+
     def arcs_from(self, v: int) -> tuple[tuple[Letter, int, int], ...]:
         """All arcs leaving v in the symmetrized graph, sorted by letter.
 
@@ -514,6 +518,8 @@ def digraph_isomorphic(
     0 of g against every vertex of h (or just the given base pair) and
     propagate deterministically.
     """
+    if g.rank != h.rank:
+        raise ValueError("isomorphism test of graphs over different ranks")
     if bases is not None:
         g._check_vertex(bases[0], "base")
         h._check_vertex(bases[1], "base")
@@ -662,6 +668,7 @@ def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
     symmetrized graph.  On a folded graph it labels that path.  On an
     unfolded graph it need not label any u-to-v path: for 0 -a-> 1 <-a- 2
     the path from 0 to 2 reads `a A`, and the result is the trivial word."""
+    g._check_alphabet(alphabet)
     g._check_vertex(u)
     g._check_vertex(v)
     tree = _bfs_tree(g, u)
@@ -673,8 +680,7 @@ def path_word(g: XDigraph, u: int, v: int, alphabet: Alphabet) -> Word:
 def graph_to_text(g: XDigraph, alphabet: Alphabet) -> str:
     """Line-oriented serialization: vertex count, optional base, then edges
     sorted by (origin, label, terminus)."""
-    if alphabet.rank != g.rank:
-        raise ValueError("alphabet rank does not match graph")
+    g._check_alphabet(alphabet)
     lines = ["v %d" % g.vertex_count]
     if g.base is not None:
         lines.append("base %d" % g.base)
@@ -717,6 +723,7 @@ def graph_from_text(text: str, alphabet: Alphabet) -> XDigraph:
 
 def graph_to_dot(g: XDigraph, alphabet: Alphabet) -> str:
     """A dot rendering for inspection; the base vertex is doubly circled."""
+    g._check_alphabet(alphabet)
     lines = ["digraph stallings {"]
     for v in range(g.vertex_count):
         shape = "doublecircle" if v == g.base else "circle"

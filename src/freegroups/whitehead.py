@@ -980,8 +980,10 @@ def nielsen_decompose(target: Sequence[Word], alphabet: Alphabet) -> list[Nielse
 
 def _decompose_basis(target: tuple[tuple[int, ...], ...], rank: int) -> list[NielsenTransformation]:
     """nielsen_decompose for code words already certified to form a basis
-    of the rank, such as the combined basis of a certified splitting: no
-    fold re-checks them, but the moves must `_replay` to them."""
+    of the rank, such as a splitting's basis carried over another by
+    `nielsen_bound`: no fold re-checks them, but the moves must `_replay`
+    to them.  The rebase needs no shortest list: it replays the
+    reduction's moves backward to φ⁻¹ and checks that instead."""
     moves = _bidirectional_search(target, rank)
     if moves is None:
         moves = _reduction_moves(target)

@@ -13,6 +13,7 @@ import pytest
 
 from freegroups import cli, ellipticity, whitehead
 from freegroups.cli import main, run
+from freegroups.stallings import CertificateError
 from freegroups.whitehead import _elementary_moves, apply_nielsen
 from freegroups.words import Alphabet
 
@@ -52,6 +53,7 @@ class TestExitContract:
             ["reduce", "-n", "two", "a"],
             ["reduce", "a"],  # missing alphabet
             ["reduce", "-n", "0", "a"],
+            ["reduce", "-n", "-3", "a"],
             ["reduce", "--alphabet", "aB", "a"],
             ["prim-intersect", "-n", "2", "split a | b", "C", "split a | b", "A"],
         ):
@@ -66,6 +68,7 @@ class TestExitContract:
             ["member", "-n", "1", "a", "-w", "b"],
             ["dist2-split", "-n", "2", "split a | a", "split a | b"],
             ["dist2-split", "-n", "2", "a | b", "split a | b"],
+            ["dist2-split", "-n", "2", "split a | b | a", "split a | b"],
             ["dist2-word", "-n", "2", "1", "a"],
             ["prim-intersect", "-n", "2", "split a | b", "A", "split b | a", "A"],
             ["wmin", "-n", "2", ""],
@@ -73,6 +76,11 @@ class TestExitContract:
             code, out, err = run(argv)
             assert code == 2, argv
             assert err.startswith("error:") or err.startswith("usage"), argv
+
+    def test_rank_below_one(self):
+        # Alphabet.of_rank refuses the rank; the message names no option.
+        for rank in ("0", "-3"):
+            assert run(["reduce", "-n", rank, "a"]) == (2, "", "error: rank must be at least 1\n")
 
     def test_help_is_zero(self):
         for argv in (["--help"], ["member", "--help"]):
@@ -146,6 +154,9 @@ class TestIso:
 
     def test_bad_stdin(self):
         assert run(["iso", "-n", "2"], "v 1\n")[0] == 2
+        assert run(["iso", "-n", "2", "--based"], "v 1\n\nv 1\nbase 0\n") == (
+            2, "", "error: --based needs a base line in both graphs\n"
+        )
         assert run(["iso", "-n", "2"], "")[0] == 2
         assert run(["iso", "-n", "2"], GRAPH_BAB + "\nnot a graph\n")[0] == 2
 
@@ -388,6 +399,21 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    def test_library_fault_is_two(self, capsys, monkeypatch):
+        # A raise other than ValueError is an error, exit 2, not the "no"
+        # answer 1; main prints its traceback, and run lets it propagate.
+        def forged(*args):
+            raise CertificateError("forged")
+
+        monkeypatch.setattr(cli, "nielsen_bound", forged)
+        argv = ["nielsen-bound", "-n", "2", "split a | b", "split ab | b"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" in captured.err and "CertificateError: forged" in captured.err
+        with pytest.raises(CertificateError):
+            run(argv)
 
     def test_only_a_parsed_iso_reads_stdin(self, capsys, monkeypatch):
         # Help and usage errors must not wait for standard input to close.

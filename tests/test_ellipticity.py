@@ -22,7 +22,7 @@ from freegroups.ellipticity import (
     word_elliptic,
     words_distance_two,
 )
-from freegroups import stallings, whitehead
+from freegroups import ellipticity, stallings, whitehead
 from freegroups.stallings import (
     XDigraph,
     build_subgroup,
@@ -133,6 +133,10 @@ class TestVerify:
     def test_alphabet_mismatch(self):
         with pytest.raises(AlphabetMismatchError):
             splittings_distance_two(split("a | b"), split("a b | c", A3))
+        with pytest.raises(AlphabetMismatchError):
+            word_elliptic(parse_cyclic("c", A3), split("a | b"))
+        with pytest.raises(AlphabetMismatchError):
+            words_distance_two(parse_cyclic("a", A2), parse_cyclic("c", A3))
 
     def test_verification_builds_no_graph(self, monkeypatch):
         # The generation test stops at the fold's vertex classes.
@@ -453,6 +457,27 @@ class TestPrimitiveInIntersection:
     def test_factor_selector_validation(self):
         with pytest.raises(ValueError):
             primitive_in_intersection(split("a | b"), "C", split("a | b"), "A")
+
+    def test_rebase_runs_no_search(self, monkeypatch):
+        # The basis fixes φ⁻¹, so the rebase replays the Nielsen
+        # reduction's moves and never runs the shortest search, which on
+        # this rank-20 pair ran to its budget first.
+        a20 = Alphabet.of_rank(20)
+        s1 = split("abc | bcd cde def efg fgh ghi hij ijk jkl klm lmn mno nop opq pqr qrs rst s t", a20)
+        s2 = split("s | a b c d e f g h i j k l m n o p q r t", a20)
+        basis = tuple(parse_word(t, A3) for t in ("abCab", "bcabCab", "Cab"))
+        codes = tuple(w.codes for w in basis)
+        searched = whitehead._images(
+            whitehead._replay(whitehead._decompose_basis(codes, 3), 3, forward=False)
+        )
+
+        def search(*args):
+            raise AssertionError("the rebase ran the shortest search")
+
+        monkeypatch.setattr(whitehead, "_bidirectional_search", search)
+        ellipticity._rebase_moves.cache_clear()
+        assert str(primitive_in_intersection(s1, "B", s2, "A")) == "s"
+        assert ellipticity._rebase_moves(A3, basis) == (whitehead._images(codes), searched)
 
 
 class TestNielsenBound:

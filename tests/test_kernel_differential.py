@@ -41,6 +41,7 @@ from freegroups.whitehead import (
     _actions,
     _cyclic_image,
     _free_image,
+    _images,
     _multiplier,
     _multiplier_images,
     _rank_ops,
@@ -770,17 +771,22 @@ class TestRebaseImages:
     @given(st.data())
     def test_image_tuples_match_the_move_replay(self, data):
         # The rebase sends the standard letters to apply_nielsen(moves).
-        # Its image tuples come from the moves that _decompose_basis
-        # finds, but the automorphism and its inverse are fixed by the
-        # basis, so they agree with replaying the drawn moves one letter
-        # substitution at a time.
-        rank = data.draw(st.integers(2, 4))
+        # Its inverse replays the moves of the basis's Nielsen reduction,
+        # but the automorphism and its inverse are fixed by the basis, so
+        # they agree with replaying the drawn moves one letter
+        # substitution at a time, and at ranks 2-3 with the inverse
+        # replayed from the shortest search's moves.
+        rank = data.draw(st.integers(2, 6))
         alphabet = Alphabet.of_rank(rank)
-        moves = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=8))
-        forward, back = ellipticity._rebase_moves(alphabet, apply_nielsen(moves, alphabet))
+        moves = data.draw(st.lists(st.sampled_from(_elementary_moves(rank)), max_size=16))
+        basis = apply_nielsen(moves, alphabet)
+        forward, back = ellipticity._rebase_moves(alphabet, basis)
         w = free_reduce(data.draw(st.lists(letters(rank), max_size=12)), alphabet)
         assert _word_image(forward, w) == oracle.moves_apply_word(moves, w)
         assert _word_image(back, w) == oracle.moves_apply_word_inverse(moves, w)
+        if rank <= 3:
+            searched = whitehead._decompose_basis(codes(basis), rank)
+            assert back == _images(_replay(searched, rank, forward=False))
 
 
 def replayed(moves, rank):

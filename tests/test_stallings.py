@@ -562,6 +562,8 @@ class TestVertexRange:
             lambda g: digraph_isomorphic(g, g, (-1, -1)),
             lambda g: digraph_isomorphic(g, g, (0, 2)),
             lambda g: core(g, -1),
+            lambda g: XDigraph(2, 2, g.edges, 2),
+            lambda g: XDigraph(2, 2, ((0, 1, 2),)),
         ],
     )
     def test_rejects_vertices_out_of_range(self, call):
@@ -569,6 +571,49 @@ class TestVertexRange:
         assert g.vertex_count == 2
         with pytest.raises(ValueError, match="out of range"):
             call(g)
+
+
+class TestRankMismatch:
+    # A graph meets another graph, or an alphabet, only at its own rank.
+    G2, G3 = XDigraph(2, 1, ((0, 0, 0),), 0), XDigraph(3, 1, ((0, 0, 2),), 0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g2, g3: digraph_isomorphic(g2, g3),
+            lambda g2, g3: digraph_isomorphic(g2, g3, bases=(0, 0)),
+            lambda g2, g3: product(g2, g3),
+        ],
+    )
+    def test_graphs_over_different_ranks(self, call):
+        with pytest.raises(ValueError, match="different ranks"):
+            call(self.G2, self.G3)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda g: graph_to_text(g, A2),
+            lambda g: graph_to_dot(g, A2),
+            lambda g: path_word(g, 0, 0, A2),
+        ],
+    )
+    def test_alphabet_of_another_rank(self, call):
+        with pytest.raises(ValueError, match="alphabet rank does not match graph"):
+            call(self.G3)
+
+    @pytest.mark.parametrize(
+        "graph, alphabet, error, message",
+        [
+            (XDigraph(2, 1, ((0, 0, 0),)), A2, ValueError, "needs a base vertex"),
+            (XDigraph(3, 1, ((0, 0, 0),), 0), A2, ValueError, "does not match alphabet"),
+            (XDigraph(2, 3, ((0, 1, 0), (0, 2, 0)), 0), A2, NotFoldedError, "must be folded"),
+            (XDigraph(2, 2, ((0, 1, 0),), 0), A2, ValueError, "must be a core graph"),
+            (XDigraph(2, 2, ((0, 0, 0), (1, 1, 1)), 0), A2, ValueError, "must be a core graph"),
+        ],
+    )
+    def test_subgroup_refuses(self, graph, alphabet, error, message):
+        with pytest.raises(error, match=message):
+            Subgroup(graph, alphabet)
 
 
 class TestPathWord:

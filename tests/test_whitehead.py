@@ -40,6 +40,7 @@ from freegroups.whitehead import (
 )
 from freegroups.words import (
     Alphabet,
+    AlphabetMismatchError,
     CyclicWord,
     Letter,
     TrivialWordError,
@@ -183,6 +184,7 @@ class TestApplication:
         for act in (Action.KEEP, Action.RIGHT, Action.LEFT, Action.CONJ):
             t = WhiteheadAut.multiplier(2, Letter(0, 1), (Action.KEEP, act))
             images.append(str(t.apply_to_cyclic(base)))
+            assert apply_whitehead(t, base) == t.apply_to_cyclic(base)
         assert images == ["b", "ab", "Ab", "b"]  # conjugate collapses cyclically
 
     def test_conj_on_linear_word(self):
@@ -619,6 +621,8 @@ class TestOrbits:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             same_orbit((cyc("a"),), (cyc("a"), cyc("b")))
+        with pytest.raises(AlphabetMismatchError):
+            same_orbit((cyc("a"),), (cyc("a", A3),))
 
     def test_orbit_closed_under_inverse_moves(self):
         orbit = equal_length_orbit((cyc("abAB"),))
@@ -662,6 +666,10 @@ class TestClassifyPair:
     def test_good_flag(self):
         assert classify_pair(cyc("a"), cyc("b")).is_good
         assert not classify_pair(cyc("ab"), cyc("ba")).is_good
+
+    def test_alphabet_mismatch(self):
+        with pytest.raises(AlphabetMismatchError):
+            classify_pair(cyc("a"), cyc("b", A3))
 
 
 class TestGoodPairInvariants:
@@ -787,6 +795,7 @@ class TestNielsen:
                 with pytest.raises(ValueError, match="outside an alphabet of rank 2"):
                     call()
         assert rmul(2, 0).describe(A3) == "rmul c a"
+        assert inv(1).describe(A3) == "inv b"
 
     def test_substitution_matches_tuple_action(self):
         rng = random.Random(71)

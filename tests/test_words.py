@@ -52,6 +52,32 @@ def random_letters(rng, alphabet, n):
     ]
 
 
+class TestAlphabet:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Alphabet(()), "at least one generator"),
+            (lambda: Alphabet(("a", "b", "a")), "duplicate generator names"),
+            (lambda: Alphabet.of_rank(0), "rank must be at least 1"),
+            (lambda: Alphabet.of_rank(-3), "rank must be at least 1"),
+            (lambda: A2.letter(2), "generator index 2 out of range"),
+            (lambda: A2.letter(-1), "generator index -1 out of range"),
+            (lambda: A2.letter(0, 0), "sign must be"),
+            (lambda: A2.letter(1, 2), "sign must be"),
+        ],
+    )
+    def test_rejects(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    def test_letter_and_index(self):
+        assert A2.letter(1) == Letter(1, 1)
+        assert A2.letter(0, -1) == Letter(0, -1)
+        assert A2.index("b") == 1
+        with pytest.raises(WordFormatError, match="unknown generator 'c'"):
+            A2.index("c")
+
+
 class TestReduction:
     def test_parse_examples(self):
         assert str(parse_word("abA", A2)) == "abA"

@@ -12,6 +12,7 @@ quoted argument of whitespace-separated generator words; splittings are
 from __future__ import annotations
 
 import argparse
+import re
 import string
 import sys
 from functools import lru_cache
@@ -113,7 +114,8 @@ def _answer(ans) -> tuple[int, str]:
 # returns standard input, and gives (exit code, standard output).
 
 def _iso(args, alphabet: Alphabet, read) -> tuple[int, str]:
-    blocks = [b for b in read().split("\n\n") if b.strip()]
+    # A line is blank once stripped, as graph_from_text reads lines.
+    blocks = [b for b in re.split(r"\n\s*\n", read()) if b.strip()]
     if len(blocks) != 2:
         raise WordFormatError("expected two graphs on standard input separated by a blank line")
     g = graph_from_text(blocks[0], alphabet)

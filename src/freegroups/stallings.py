@@ -18,8 +18,8 @@ the base, so no peel runs; `core` serves other graphs, such as
 products.  Each graph caches two adjacency tables.  `XDigraph._arcs`
 holds per vertex its sorted arcs (letter code, head, edge index),
 bucketed from the edges once; degrees, reachability, cycles and
-breadth-first trees read it.  `_step_index` maps (vertex, letter code)
-to head, built from `_arcs`; the folding test, steps and walks read it.
+breadth-first trees read it.  `_steps` maps (vertex, letter code) to
+head, built from `_arcs`; the folding test, steps and walks read it.
 `with_base` copies share both.
 
 Graphs are immutable after construction; all functions are pure.
@@ -103,7 +103,7 @@ class XDigraph(object):
         return tuple(map(len, self._arcs))
 
     @cached_property
-    def _step_index(self) -> dict[tuple[int, int], int]:
+    def _steps(self) -> dict[tuple[int, int], int]:
         # (vertex, letter code) -> head; two arcs sharing a key leave one entry.
         return {(v, c): head for v, arcs in enumerate(self._arcs) for c, head, _ in arcs}
 
@@ -111,17 +111,12 @@ class XDigraph(object):
     def is_folded(self) -> bool:
         """No two edges share a label and an origin, or a label and a
         terminus: every arc has its own (vertex, code) key."""
-        return len(self._step_index) == 2 * len(self.edges)
-
-    @cached_property
-    def _steps(self) -> dict[tuple[int, int], int]:
-        # (vertex, letter code) -> next vertex; folded graphs only.
-        if not self.is_folded:
-            raise NotFoldedError("graph is not folded")
-        return self._step_index
+        return len(self._steps) == 2 * len(self.edges)
 
     def step(self, v: int, letter: Letter) -> int | None:
-        """Follow one letter from v (inverse letters walk edges backwards)."""
+        """Follow one letter from v in a folded graph (inverse letters walk edges backwards)."""
+        if not self.is_folded:
+            raise NotFoldedError("graph is not folded")
         return self._steps.get((v, letter.code))
 
     def _walk(self, v: int, codes: Iterable[int]) -> int | None:
@@ -175,7 +170,7 @@ class XDigraph(object):
 
 
 # The cached properties of an XDigraph that read only its edges.
-_BASE_FREE_TABLES = ("_arcs", "degrees", "_step_index", "is_folded", "_steps")
+_BASE_FREE_TABLES = ("_arcs", "degrees", "_steps", "is_folded")
 
 
 def _restrict(g: XDigraph, keep: Iterable[int], base: int | None) -> XDigraph:

@@ -58,7 +58,6 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from array import array
 from collections import deque
 from dataclasses import dataclass
 from enum import IntEnum
@@ -370,19 +369,18 @@ def _whitehead_graph(
 
 
 @lru_cache(maxsize=None)
-def _multiplier_cuts(rank: int) -> tuple[tuple[memoryview, array], ...]:
-    """For each multiplier vertex m: the matrix cells that join the side
-    A of each of its automorphisms to the complement of A, concatenated
-    in action-code order, and the offsets that bound each code's cells.
-    The length change of (m, c) is the sum over its cells minus the
-    degree of m.  Two flat arrays per multiplier keep the table small
-    (each imported copy of the package builds it once per rank), and a
-    memoryview slices the cells without copying them."""
+def _multiplier_cuts(rank: int) -> tuple[tuple[bytes, ...], ...]:
+    """For each multiplier vertex m, one `bytes` per action code, in code
+    order: the matrix cells that join the side A of (m, code) to the
+    complement of A.  The length change of (m, code) is the sum over its
+    cells minus the degree of m.  A cell indexes the 2n x 2n matrix, so
+    it is below (2n)^2 <= 144 at rank 6, the highest rank
+    WHITEHEAD_BUDGET admits, and fits in a byte up to rank 8."""
     _check_multipliers(rank)
     size = 2 * rank
     table = []
     for m in range(size):
-        cells, offsets = array("H"), array("I", [0])
+        cuts = []
         for code in range(1, 4 ** (rank - 1)):
             side = {m}
             for g, act in enumerate(_actions(rank, m >> 1, code)):
@@ -391,9 +389,8 @@ def _multiplier_cuts(rank: int) -> tuple[tuple[memoryview, array], ...]:
                 if act & 2:
                     side.add(2 * g + 1)
             rest = [v for v in range(size) if v not in side]
-            cells.extend([a * size + b for a in sorted(side) for b in rest])
-            offsets.append(len(cells))
-        table.append((memoryview(cells), offsets))
+            cuts.append(bytes([a * size + b for a in sorted(side) for b in rest]))
+        table.append(tuple(cuts))
     return tuple(table)
 
 
@@ -465,9 +462,8 @@ def _length_changes(
             continue
         for m in (x, x + 1):
             deg = degrees[m]
-            cells, offsets = cuts[m]
-            for code, (lo, hi) in enumerate(itertools.pairwise(offsets), 1):
-                yield m, code, sum(map(cell, cells[lo:hi])) - deg
+            for code, cells in enumerate(cuts[m], 1):
+                yield m, code, sum(map(cell, cells)) - deg
 
 
 def _check_predicted(got: int, predicted: int) -> None:
@@ -801,9 +797,9 @@ class _Ball(object):
     grown one at a time: forward by the elementary moves, or backward by
     the moves undone.
 
-    `links` holds each state's parent link; `sizes[d]` counts the states
-    of depth at most d.  The shared ball counts in `spent` the backward
-    states made since it last deepened; a search holds its `lock`."""
+    `links` holds each state's parent link.  The shared ball counts in
+    `spent` the backward states made since it last deepened; a search
+    holds its `lock`."""
 
     def __init__(self, rank: int, root: _State | None = None, forward: bool = True) -> None:
         pack, self.invert, self.moves = _rank_ops(rank)
@@ -811,7 +807,6 @@ class _Ball(object):
         self.root: _State = _replay((), rank) if root is None else tuple([pack(w) for w in root])
         self.links: _Links = {self.root: (None, None)}
         self.layers: list[list[_State]] = [[self.root]]
-        self.sizes = [1]
         self.spent = 0
         self.lock = threading.Lock()
 
@@ -829,7 +824,6 @@ class _Ball(object):
                 if len(links) > limit:
                     return None
             self.layers.append(fresh)
-            self.sizes.append(self.sizes[-1] + len(fresh))
             return fresh
         finally:
             # A stopped or interrupted layer would be taken as complete later.
@@ -843,12 +837,12 @@ class _Ball(object):
         last layer, a bound on the new one that must fit BALL_STATES."""
         self.spent += spent
         bound = len(self.moves) * len(self.layers[depth])
-        if 0 < bound <= min(self.spent, BALL_STATES - self.sizes[depth]):
+        kept = len(self.links) - sum(map(len, self.layers[depth + 1 :]))
+        if 0 < bound <= min(self.spent, BALL_STATES - kept):
             depth, self.spent = depth + 1, 0
         while len(self.layers) > depth + 1:
             for state in self.layers.pop():
                 del self.links[state]
-            self.sizes.pop()
         if len(self.layers) == depth:
             self.grow()
 
@@ -879,11 +873,11 @@ def _bidirectional_search(target: _State, rank: int) -> list[NielsenTransformati
         try:
             if backward.root in forward.links:
                 return _path(forward.links, backward.root)[::-1]
-            balls, cap = (forward, backward), NIELSEN_BUDGET + forward.sizes[-1] - 1
+            balls, cap = (forward, backward), NIELSEN_BUDGET + len(forward.links) - 1
             while True:
                 last = [ball.layers[-1] for ball in balls]
                 side = len(last[0]) > len(last[1])
-                fresh = balls[side].grow(cap - balls[not side].sizes[-1]) if all(last) else None
+                fresh = balls[side].grow(cap - len(balls[not side].links)) if all(last) else None
                 if fresh is None:
                     return None
                 links = balls[not side].links

@@ -2,8 +2,8 @@
 folding, component and cycle tests on graph edges, the conjugacy
 search, the least rotation, the application of a Whitehead automorphism,
 the Nielsen search, the per-move replay of a Nielsen move list as an
-automorphism and the Letter-keyed words, kept as test oracles for the
-fast paths that replaced them.
+automorphism, the multiplier cut table and the Letter-keyed words, kept
+as test oracles for the fast paths that replaced them.
 
 Each function is the straightforward version: degrees and is_folded
 pass over the edges, is_folded with a seen-set per direction;
@@ -15,7 +15,9 @@ edge, the conjugacy search tries every rotation at every vertex and
 the least rotation compares all n rotations; a Whitehead automorphism
 rewrites `Letter`s one by one, then reduces, cyclically reduces and
 rotates in full; the Whitehead descent builds a public automorphism
-per step and rotates every word after every step; the Nielsen search
+per step and rotates every word after every step; the multiplier scan
+slices one flat array of cut cells per multiplier at code offsets,
+where the library keeps one `bytes` per candidate; the Nielsen search
 keys its states by (gen, sign) pairs, reduces every product in full and
 starts from as many forward layers as the library's shared ball holds;
 a move list acts on a word by one letter substitution per move, where
@@ -41,15 +43,22 @@ sort of all arcs.
 
 from __future__ import annotations
 
+import itertools
 import string
+from array import array
+from functools import lru_cache
 
 from freegroups.stallings import Subgroup, XDigraph, path_word
 from freegroups.whitehead import (
     NielsenTransformation,
+    _actions,
+    _check_multipliers,
     _check_predicted,
     _elementary_moves,
+    _flow_reaches,
     _length_changes,
     _multiplier,
+    _whitehead_graph,
     standard_basis,
 )
 from freegroups.words import Letter, Word, WordFormatError, free_reduce
@@ -276,6 +285,49 @@ def whitehead_cyclic(t, w):
     while i < j - 1 and letters[i] == letters[j - 1].inverse():
         i, j = i + 1, j - 1
     return least_rotation(letters[i:j])
+
+
+@lru_cache(maxsize=None)
+def multiplier_cuts(rank):
+    """For each multiplier vertex m: the matrix cells that join the side
+    A of each of its automorphisms to the complement of A, concatenated
+    in action-code order, and the offsets that bound each code's cells.
+    Two flat arrays per multiplier, the cells sliced by a memoryview."""
+    _check_multipliers(rank)
+    size = 2 * rank
+    table = []
+    for m in range(size):
+        cells, offsets = array("H"), array("I", [0])
+        for code in range(1, 4 ** (rank - 1)):
+            side = {m}
+            for g, act in enumerate(_actions(rank, m >> 1, code)):
+                if act & 1:
+                    side.add(2 * g)
+                if act & 2:
+                    side.add(2 * g + 1)
+            rest = [v for v in range(size) if v not in side]
+            cells.extend([a * size + b for a in sorted(side) for b in rest])
+            offsets.append(len(cells))
+        table.append((memoryview(cells), offsets))
+    return tuple(table)
+
+
+def length_changes(words, rank, bound):
+    """_length_changes as it scanned the offsets layout of
+    `multiplier_cuts`, with the same max-flow pruning of blocks."""
+    graph, degrees = _whitehead_graph(words, rank)
+    size = 2 * rank
+    cell = graph.__getitem__
+    cuts = multiplier_cuts(rank)
+    for x in range(0, size, 2):
+        target = degrees[x] + bound + 1
+        if target <= degrees[x] and _flow_reaches(graph, size, x, target):
+            continue
+        for m in (x, x + 1):
+            deg = degrees[m]
+            cells, offsets = cuts[m]
+            for code, (lo, hi) in enumerate(itertools.pairwise(offsets), 1):
+                yield m, code, sum(map(cell, cells[lo:hi])) - deg
 
 
 def whitehead_descent(ws):

@@ -160,6 +160,16 @@ class TestIso:
         assert run(["iso", "-n", "2"], "")[0] == 2
         assert run(["iso", "-n", "2"], GRAPH_BAB + "\nnot a graph\n")[0] == 2
 
+    def test_crlf_line_ends(self):
+        crlf = GRAPH_BAB.replace("\n", "\r\n")
+        assert run(["iso", "-n", "2", "--based"], crlf + "\r\n" + crlf) == (0, "true\n", "")
+
+    def test_separator_of_spaces(self):
+        # A line that holds only spaces is blank, as graph_from_text reads it.
+        assert run(["iso", "-n", "2", "--based"], GRAPH_BAB + "   \n" + GRAPH_BAB) == (0, "true\n", "")
+        three = GRAPH_BAB + " \n" + GRAPH_BAB + "\t\n" + GRAPH_BAB
+        assert run(["iso", "-n", "2"], three)[0] == 2
+
     def test_repeated_header_line(self):
         # The second 'v' line is refused, not taken in place of the first.
         graph = "v 1\nv 2\ne 0 1 a\n"

@@ -1,9 +1,10 @@
-"""The examples in the library's docstrings run and hold, and every name
-the package exports exists."""
+"""The examples in the library's docstrings and README's library quick
+start run and hold, and every name the package exports exists."""
 
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,12 @@ MODULES = sorted(
 def test_module_doctests(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0
+
+
+def test_readme_quick_start():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(str(readme), module_relative=False)
+    assert result.failed == 0 and result.attempted > 0
 
 
 def test_every_exported_name_resolves():

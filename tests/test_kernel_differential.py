@@ -1,11 +1,10 @@
 """Each fast path of the Stallings kernel, the conjugacy search, the least
 rotation, the code kernel that applies Whitehead automorphisms, the
-Nielsen search, the Whitehead descent on code words, the replay of a move
-list on code words, the rebase by image tuples, the parser and the
-code-backed words returns exactly what the code it replaced returns (the
-oracles in `kernel_oracles.py`)."""
+Nielsen search, the Whitehead descent on code words and its cut table,
+the replay of a move list on code words, the rebase by image tuples, the
+parser and the code-backed words returns exactly what the code it
+replaced returns (the oracles in `kernel_oracles.py`)."""
 
-import itertools
 import random
 import sys
 import threading
@@ -160,7 +159,7 @@ class TestArcTable:
         assert g.is_folded == oracle.is_folded(g)
         if not g.is_folded:
             with pytest.raises(NotFoldedError):
-                g._steps
+                g.step(0, Letter(0, 1))
 
     @settings(max_examples=300, deadline=None)
     @given(digraphs())
@@ -506,6 +505,16 @@ def descent_tuples(draw):
 
 class TestDescent:
     @settings(max_examples=80, deadline=None)
+    @given(descent_tuples(), st.integers(-3, 0))
+    def test_scan_matches_the_offsets_layout(self, ws, bound):
+        # One `bytes` of cells per candidate scores, and prunes, exactly
+        # as the concatenated cells sliced by an offsets array did.
+        words, rank = [w.codes for w in ws], ws[0].alphabet.rank
+        assert list(whitehead._length_changes(words, rank, bound)) == list(
+            oracle.length_changes(words, rank, bound)
+        )
+
+    @settings(max_examples=80, deadline=None)
     @given(descent_tuples())
     def test_matches_the_automorphism_descent(self, ws):
         # Both the minimal tuple and the automorphisms taken, in order.
@@ -613,8 +622,7 @@ class TestNielsenSearch:
 
     @staticmethod
     def check_consistent(ball):
-        assert ball.sizes == list(itertools.accumulate(map(len, ball.layers)))
-        assert len(ball.links) == ball.sizes[-1]
+        assert len(ball.links) == sum(map(len, ball.layers))
 
     def test_a_warm_or_trimmed_ball_changes_nothing(self):
         # The deep search runs out of budget on a fresh ball and on one
@@ -662,7 +670,7 @@ class TestNielsenSearch:
         with pytest.raises(RuntimeError, match="interrupted"):
             search(deep, 3, self.BUDGET)
         monkeypatch.setattr(whitehead, "_successors", real)
-        assert len(_ball(3).links) == _ball(3).sizes[-1] == 10
+        assert len(_ball(3).links) == sum(map(len, _ball(3).layers)) == 10
         self.check_consistent(_ball(3))
         for rank, words in cases:
             depth = len(_ball(rank).layers) - 1

@@ -277,7 +277,7 @@ class TestWithBase:
             copy = g.with_base(None)
             fresh = XDigraph(g.rank, g.vertex_count, g.edges, None)
             assert copy == fresh
-            for name in ("_arcs", "degrees", "_step_index", "is_folded", "_steps"):
+            for name in ("_arcs", "degrees", "_steps", "is_folded"):
                 assert copy.__dict__[name] is g.__dict__[name]
                 assert getattr(copy, name) == getattr(fresh, name)
 

@@ -30,6 +30,7 @@ from freegroups.whitehead import (
     standard_basis,
     total_length,
     WhiteheadBudgetError,
+    _check_multipliers,
     _elementary_moves,
     _flow_reaches,
     _length_changes,
@@ -514,6 +515,12 @@ class TestBudgets:
     def test_default_admits_rank_six(self):
         assert 2 * 6 * (4**5 - 1) <= WHITEHEAD_BUDGET
         assert math.factorial(6) * 2**6 <= WHITEHEAD_BUDGET
+
+    def test_cut_cells_fit_in_a_byte_at_every_admitted_rank(self):
+        # A cut cell indexes the (2n)^2 Whitehead matrix and is stored in a
+        # byte; rank 9 is the first whose cells, up to 323, do not fit.
+        with pytest.raises(WhiteheadBudgetError):
+            _check_multipliers(9)
 
     def test_enumerations_check_the_budget(self, monkeypatch):
         # Rank 2 has 12 multipliers and 8 relabelings.

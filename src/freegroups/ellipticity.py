@@ -38,6 +38,7 @@ from .stallings import (
     build_subgroup,
     contains,
     contains_conjugate,
+    has_cycle,
     intersect,
     product,
     spanning_tree_basis,
@@ -205,9 +206,10 @@ def splittings_distance_two(
 
     An element lies in conjugates of factors H and K exactly when the
     product of their type graphs has a cycle; going once around the
-    first cycle found yields the witness, which must be conjugate into
-    both factors whose type graphs gave it.  A "no" is certified by
-    `_is_forest`, which shares no code with the cycle search.
+    first cycle that the depth-first search `find_cycle` finds yields
+    the witness, which must be conjugate into both factors whose type
+    graphs gave it.  A "no" is certified by the union-find of
+    `has_cycle`, which shares no code with that search.
     """
     _require_same_alphabet(s1, s2)
     for i, j in _PAIR_ORDER:
@@ -219,28 +221,9 @@ def splittings_distance_two(
             if not (contains_conjugate(s1.factor(i), w) and contains_conjugate(s2.factor(j), w)):
                 raise CertificateError("the witness is not elliptic in the factors that gave it")
             return EllipticityAnswer(True, witness)
-        if not _is_forest(prod):
+        if has_cycle(prod):
             raise CertificateError("the cycle search missed a cycle in a product of type graphs")
     return EllipticityAnswer(False)
-
-
-def _is_forest(g: XDigraph) -> bool:
-    """Is the symmetrized graph a forest?  A union-find over the edges:
-    a loop, or an edge whose ends are already in one component, closes
-    a cycle."""
-    parent = list(range(g.vertex_count))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for o, t, _ in g.edges:
-        o, t = find(o), find(t)
-        if o == t:
-            return False
-        parent[t] = o
-    return True
 
 
 def word_elliptic(w: "Word | CyclicWord", s: FreeSplitting) -> bool:

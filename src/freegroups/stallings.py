@@ -17,10 +17,12 @@ edges.  The folded graph of freely reduced generators is the core at
 the base, so no peel runs; `core` serves other graphs, such as
 products.  Each graph caches two adjacency tables.  `XDigraph._arcs`
 holds per vertex its sorted arcs (letter code, head, edge index),
-bucketed from the edges once; degrees, reachability, cycles and
-breadth-first trees read it.  `_steps` maps (vertex, letter code) to
+bucketed from the edges once; degrees, reachability, the cycle search
+and breadth-first trees read it.  `_steps` maps (vertex, letter code) to
 head, built from `_arcs`; the folding test, steps and walks read it.
-`with_base` copies share both.
+`with_base` copies share both.  `find_cycle`, a depth-first search on
+the arc table, gives a cycle as a witness; `has_cycle`, a union-find
+over the edges on `_find`, shares no code with it and certifies a "no".
 
 Graphs are immutable after construction; all functions are pure.
 """
@@ -40,6 +42,7 @@ from .words import (
     Word,
     _arc_letters,
     _conjugator_length,
+    _encode,
     _inverse,
     _reduce,
 )
@@ -75,6 +78,8 @@ class XDigraph(object):
     base: int | None = None
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise ValueError("rank %d is below 1" % self.rank)
         if self.vertex_count < 0:
             raise ValueError("vertex count %d is negative" % self.vertex_count)
         edges = tuple(sorted(map(tuple, self.edges), key=itemgetter(0, 2, 1)))
@@ -115,9 +120,11 @@ class XDigraph(object):
 
     def step(self, v: int, letter: Letter) -> int | None:
         """Follow one letter from v in a folded graph (inverse letters walk edges backwards)."""
+        self._check_vertex(v)
+        (code,) = _encode((letter,), self.rank)
         if not self.is_folded:
             raise NotFoldedError("graph is not folded")
-        return self._steps.get((v, letter.code))
+        return self._steps.get((v, code))
 
     def _walk(self, v: int, codes: Iterable[int]) -> int | None:
         """Where the code word leads from v, or None if it falls off."""
@@ -461,20 +468,16 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
 
     Only the base pair's component of the product matters, so it is
     found by a search that steps both folded graphs in lockstep: from
-    each pair it walks h's arcs and looks up only their letters in k.  Its
-    pairs are numbered as the full product numbers them, with the base
-    pair first.  In a folded graph an edge is fixed by its origin and
-    label, and edges are sorted by (origin, label), so the product
-    meets the edge made of h's (o1, l) and k's (o2, l) in the order of
-    (o1, l, o2).  A pair comes at the first of its edges, origin before
-    terminus.
+    each pair it walks h's arcs and looks up only their letters in k.
+    Its pairs are numbered as the full product numbers them: by first
+    appearance over the edges sorted by (o1, label, o2), origin before
+    terminus, with the base pair first.
     """
     if h.alphabet != k.alphabet:
         raise AlphabetMismatchError("subgroups over different alphabets")
     arcs1, steps2 = h.graph._arcs, k.graph._steps
     start = (h.base, k.base)
-    # pair -> its first touch (o1, l, o2, end); the base pair sorts first
-    first: dict[tuple[int, int], tuple[int, ...]] = {start: (-1,)}
+    seen = {start}
     edges: dict[tuple[int, int, int], tuple[int, int]] = {}  # (o1, l, o2) -> terminus
     stack = [start]
     while stack:
@@ -484,15 +487,16 @@ def intersect(h: Subgroup, k: Subgroup) -> Subgroup:
             if far2 is None:
                 continue
             far = (far1, far2)
+            if far not in seen:
+                seen.add(far)
+                stack.append(far)
             origin, terminus = (far, pair) if c & 1 else (pair, far)
-            key = (origin[0], c >> 1, origin[1])
-            edges[key] = terminus
-            for other, touch in ((origin, key + (0,)), (terminus, key + (1,))):
-                if other not in first:
-                    stack.append(other)
-                first[other] = min(first.get(other, touch), touch)
-    index = {p: i for i, p in enumerate(sorted(first, key=first.__getitem__))}
-    edge_list = tuple((index[(o1, o2)], index[t], l) for (o1, l, o2), t in edges.items())
+            edges[origin[0], c >> 1, origin[1]] = terminus
+    index = {start: 0}
+    edge_list = tuple(
+        (index.setdefault((o1, o2), len(index)), index.setdefault(t, len(index)), l)
+        for (o1, l, o2), t in sorted(edges.items())
+    )
     prod = XDigraph(h.alphabet.rank, len(index), edge_list, 0)
     return Subgroup(core(prod, 0), h.alphabet)
 
@@ -606,8 +610,17 @@ def _tree_path(tree: dict[int, tuple[int, int, int] | None], v: int) -> tuple[in
 
 def has_cycle(g: XDigraph) -> bool:
     """Does some connected component contain at least as many edges as
-    vertices?  (Equivalently: the symmetrized graph is not a forest.)"""
-    return _find_cycle(g) is not None
+    vertices?  (Equivalently: the symmetrized graph is not a forest.)
+    A union-find over the edges: a loop, or an edge whose ends are
+    already joined, closes a cycle.  It shares no code with the search
+    of `find_cycle`, so a "no" from one is re-checked by the other."""
+    alias: dict[int, int] = {}
+    for o, t, _ in g.edges:
+        o, t = _find(alias, o), _find(alias, t)
+        if o == t:
+            return True
+        alias[t] = o
+    return False
 
 
 def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
@@ -624,37 +637,31 @@ def find_cycle(g: XDigraph) -> tuple[tuple[Letter, ...], int] | None:
 
 
 def _find_cycle(g: XDigraph) -> tuple[tuple[int, ...], int] | None:
-    """find_cycle with the label word as letter codes."""
+    """find_cycle with the label word as letter codes.  In an undirected
+    depth-first search an edge that meets a reached vertex, other than
+    the one it came by, meets a vertex still on the path, so one depth
+    table serves every start."""
     all_arcs = g._arcs
-    visited: set[int] = set()
+    depth: dict[int, int] = {}
     for start in range(g.vertex_count):
-        if start in visited:
+        if start in depth:
             continue
-        # Stack entries: (vertex, arc iterator, entering edge id)
-        on_stack = {start: 0}
-        order = [(start, None)]  # (vertex, code that entered it)
-        stack = [(start, iter(all_arcs[start]), -1)]
-        visited.add(start)
+        depth[start] = 0
+        # (arc iterator, entering edge id, entering code) per path vertex
+        stack = [(iter(all_arcs[start]), -1, -1)]
         while stack:
-            v, arcs, enter_eid = stack[-1]
-            advanced = False
+            arcs, enter_eid, _ = stack[-1]
             for c, to, eid in arcs:
                 if eid == enter_eid:
                     continue
-                if to in on_stack:
-                    depth = on_stack[to]
-                    codes = tuple([k for _, k in order[depth + 1 :]]) + (c,)
+                if to in depth:
+                    codes = tuple([k for _, _, k in stack[depth[to] + 1 :]]) + (c,)
                     return codes, to
-                visited.add(to)
-                on_stack[to] = len(order)
-                order.append((to, c))
-                stack.append((to, iter(all_arcs[to]), eid))
-                advanced = True
+                depth[to] = len(stack)
+                stack.append((iter(all_arcs[to]), eid, c))
                 break
-            if not advanced:
+            else:
                 stack.pop()
-                del on_stack[v]
-                order.pop()
     return None
 
 

@@ -8,7 +8,9 @@ as test oracles for the fast paths that replaced them.
 Each function is the straightforward version: degrees and is_folded
 pass over the edges, is_folded with a seen-set per direction;
 components grows one depth-first search per unseen vertex, and
-has_cycle compares the edge and vertex counts of each component; fold
+has_cycle compares the edge and vertex counts of each component;
+find_cycle keeps a visited set beside a stack of path records that it
+unwinds per vertex, where the library keeps one depth table; fold
 restarts its scan after every merge, the peels recount every degree
 each round, intersect builds the whole product, arcs_from scans every
 edge, the conjugacy search tries every rotation at every vertex and
@@ -129,6 +131,41 @@ def has_cycle(g):
     for o, _, _ in g.edges:
         count[comp_of[o]] += 1
     return any(c >= 0 for c in count.values())
+
+
+def find_cycle(g):
+    """The depth-first cycle search as it stood with a visited set and
+    per-start stack records: (label letters, anchor) of the first cycle,
+    or None on a forest."""
+    all_arcs = g._arcs
+    visited = set()
+    for start in range(g.vertex_count):
+        if start in visited:
+            continue
+        on_stack = {start: 0}
+        order = [(start, None)]  # (vertex, code that entered it)
+        stack = [(start, iter(all_arcs[start]), -1)]
+        visited.add(start)
+        while stack:
+            v, arcs, enter_eid = stack[-1]
+            advanced = False
+            for c, to, eid in arcs:
+                if eid == enter_eid:
+                    continue
+                if to in on_stack:
+                    codes = [k for _, k in order[on_stack[to] + 1 :]] + [c]
+                    return tuple(Letter(k >> 1, -1 if k & 1 else 1) for k in codes), to
+                visited.add(to)
+                on_stack[to] = len(order)
+                order.append((to, c))
+                stack.append((to, iter(all_arcs[to]), eid))
+                advanced = True
+                break
+            if not advanced:
+                stack.pop()
+                del on_stack[v]
+                order.pop()
+    return None
 
 
 def fold(g):

@@ -19,8 +19,10 @@ def test_demos_found():
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_clean(script):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # Under `python -O` the demos run optimized too, where the
+    # certificates must still hold.
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, *["-O"] * sys.flags.optimize, str(script)],
         cwd=ROOT,
         env=env,
         capture_output=True,

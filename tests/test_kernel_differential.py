@@ -170,8 +170,8 @@ class TestArcTable:
     @settings(max_examples=300, deadline=None)
     @given(digraphs())
     def test_cycles(self, g):
-        assert has_cycle(g) == oracle.has_cycle(g)
-        assert (find_cycle(g) is None) == (not oracle.has_cycle(g))
+        assert has_cycle(g) == oracle.has_cycle(g) == (find_cycle(g) is not None)
+        assert find_cycle(g) == oracle.find_cycle(g)
 
     @settings(max_examples=200, deadline=None)
     @given(digraphs())

@@ -564,6 +564,8 @@ class TestVertexRange:
             lambda g: core(g, -1),
             lambda g: XDigraph(2, 2, g.edges, 2),
             lambda g: XDigraph(2, 2, ((0, 1, 2),)),
+            lambda g: g.step(-1, Letter(0, 1)),
+            lambda g: g.step(2, Letter(0, 1)),
         ],
     )
     def test_rejects_vertices_out_of_range(self, call):
@@ -572,10 +574,22 @@ class TestVertexRange:
         with pytest.raises(ValueError, match="out of range"):
             call(g)
 
+    # A letter past the rank must not fall off, nor a zero sign read as `a`.
+    @pytest.mark.parametrize("letter", [Letter(7, 1), Letter(2, -1), Letter(0, 0)])
+    def test_step_rejects_letters_outside_the_alphabet(self, letter):
+        g = sub("baB").graph
+        with pytest.raises(ValueError, match="outside alphabet of rank 2"):
+            g.step(0, letter)
+
 
 class TestRankMismatch:
     # A graph meets another graph, or an alphabet, only at its own rank.
     G2, G3 = XDigraph(2, 1, ((0, 0, 0),), 0), XDigraph(3, 1, ((0, 0, 2),), 0)
+
+    @pytest.mark.parametrize("rank", [0, -2])
+    def test_rank_below_one(self, rank):
+        with pytest.raises(ValueError, match="below 1"):
+            XDigraph(rank, 3, ())
 
     @pytest.mark.parametrize(
         "call",

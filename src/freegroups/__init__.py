@@ -2,148 +2,14 @@
 Whitehead/Nielsen automorphisms, and distance-two deciders for the
 ellipticity graph of free splittings."""
 
-from freegroups.ellipticity import (
-    DoesNotGenerateError,
-    EllipticityAnswer,
-    FreeSplitting,
-    RankMismatchError,
-    SplittingError,
-    TrivialIntersectionError,
-    factor_index,
-    nielsen_bound,
-    primitive_in_intersection,
-    splittings_distance_two,
-    verify_splitting,
-    word_elliptic,
-    words_distance_two,
-)
-from freegroups.stallings import (
-    GraphFormatError,
-    NotFoldedError,
-    Subgroup,
-    XDigraph,
-    build_subgroup,
-    conjugate_subgroups,
-    conjugator_into,
-    contains,
-    contains_conjugate,
-    core,
-    digraph_isomorphic,
-    find_cycle,
-    fold,
-    graph_from_text,
-    graph_to_dot,
-    graph_to_text,
-    has_cycle,
-    intersect,
-    path_word,
-    spanning_tree_basis,
-    type_graph,
-)
-from freegroups.whitehead import (
-    CertificateError,
-    NielsenBudgetError,
-    NielsenTransformation,
-    NotABasisError,
-    PairClass,
-    WhiteheadAut,
-    WhiteheadBudgetError,
-    apply_nielsen,
-    apply_whitehead,
-    classify_pair,
-    enumerate_relabelings,
-    enumerate_whitehead,
-    equal_length_orbit,
-    is_primitive,
-    minimize_tuple,
-    nielsen_decompose,
-    same_orbit,
-    standard_basis,
-    total_length,
-)
-from freegroups.words import (
-    Alphabet,
-    AlphabetMismatchError,
-    CyclicWord,
-    Letter,
-    TrivialWordError,
-    Word,
-    WordFormatError,
-    cyclic_reduce,
-    format_letters,
-    free_reduce,
-    letter_support,
-    parse_cyclic,
-    parse_word,
-    signed_support,
-)
+from . import ellipticity, stallings, whitehead, words
+from .words import *
+from .stallings import *
+from .whitehead import *
+from .ellipticity import *
 
-__all__ = [
-    "Alphabet",
-    "AlphabetMismatchError",
-    "CertificateError",
-    "CyclicWord",
-    "DoesNotGenerateError",
-    "EllipticityAnswer",
-    "FreeSplitting",
-    "GraphFormatError",
-    "Letter",
-    "NielsenBudgetError",
-    "NielsenTransformation",
-    "NotABasisError",
-    "NotFoldedError",
-    "PairClass",
-    "RankMismatchError",
-    "SplittingError",
-    "Subgroup",
-    "TrivialIntersectionError",
-    "TrivialWordError",
-    "WhiteheadAut",
-    "WhiteheadBudgetError",
-    "Word",
-    "WordFormatError",
-    "XDigraph",
-    "apply_nielsen",
-    "apply_whitehead",
-    "build_subgroup",
-    "classify_pair",
-    "conjugate_subgroups",
-    "conjugator_into",
-    "contains",
-    "contains_conjugate",
-    "core",
-    "cyclic_reduce",
-    "digraph_isomorphic",
-    "enumerate_relabelings",
-    "enumerate_whitehead",
-    "equal_length_orbit",
-    "factor_index",
-    "find_cycle",
-    "fold",
-    "format_letters",
-    "free_reduce",
-    "graph_from_text",
-    "graph_to_dot",
-    "graph_to_text",
-    "has_cycle",
-    "intersect",
-    "is_primitive",
-    "letter_support",
-    "minimize_tuple",
-    "nielsen_bound",
-    "nielsen_decompose",
-    "parse_cyclic",
-    "parse_word",
-    "path_word",
-    "primitive_in_intersection",
-    "same_orbit",
-    "signed_support",
-    "spanning_tree_basis",
-    "splittings_distance_two",
-    "standard_basis",
-    "total_length",
-    "type_graph",
-    "verify_splitting",
-    "word_elliptic",
-    "words_distance_two",
-]
+__all__ = []
+__all__ += words.__all__
+__all__ += stallings.__all__
+__all__ += whitehead.__all__
+__all__ += ellipticity.__all__

@@ -25,6 +25,22 @@ raise of CertificateError, which `python -O` keeps.
 
 from __future__ import annotations
 
+__all__ = [
+    "DoesNotGenerateError",
+    "EllipticityAnswer",
+    "FreeSplitting",
+    "RankMismatchError",
+    "SplittingError",
+    "TrivialIntersectionError",
+    "factor_index",
+    "nielsen_bound",
+    "primitive_in_intersection",
+    "splittings_distance_two",
+    "verify_splitting",
+    "word_elliptic",
+    "words_distance_two",
+]
+
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence

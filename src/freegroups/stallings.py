@@ -29,6 +29,31 @@ Graphs are immutable after construction; all functions are pure.
 
 from __future__ import annotations
 
+__all__ = [
+    "CertificateError",
+    "GraphFormatError",
+    "NotFoldedError",
+    "Subgroup",
+    "XDigraph",
+    "build_subgroup",
+    "conjugate_subgroups",
+    "conjugator_into",
+    "contains",
+    "contains_conjugate",
+    "core",
+    "digraph_isomorphic",
+    "find_cycle",
+    "fold",
+    "graph_from_text",
+    "graph_to_dot",
+    "graph_to_text",
+    "has_cycle",
+    "intersect",
+    "path_word",
+    "spanning_tree_basis",
+    "type_graph",
+]
+
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property

@@ -31,10 +31,16 @@ Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
 words store (see `freegroups.words`), so c ^ 1 inverts a letter and no
 step converts a word to Letter objects.  Every automorphism, here and
 in the rebase of `freegroups.ellipticity`, acts as an image tuple (one
-word per code) that `_images` builds; the orbit's relabelings are flat
-code maps.  Enumerating automorphisms is exponential in the rank, so
-every enumeration checks its count against WHITEHEAD_BUDGET first, and
-so does the orbit closure before each relabeling class it adds.
+word per code) that `_images` builds.  Each kind has one builder:
+`_relabelings` walks the relabelings once per rank, as flat code maps
+that the orbit maps letters through and `enumerate_relabelings` turns
+into WhiteheadAuts, and `_multiplier` makes every multiplier
+WhiteheadAut from a (multiplier vertex, action code).  Their count is
+exponential in the rank, so each cached table checks it against
+WHITEHEAD_BUDGET before it is built: `_relabelings` itself, and
+`enumerate_whitehead` and the cut table `_multiplier_cuts` through
+`_check_multipliers`.  The orbit closure also checks the budget before
+each relabeling class it adds.  Ranks below 1 are refused.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -54,6 +60,27 @@ halves, private balls around their targets, have paid for it.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "NielsenBudgetError",
+    "NielsenTransformation",
+    "NotABasisError",
+    "PairClass",
+    "WhiteheadAut",
+    "WhiteheadBudgetError",
+    "apply_nielsen",
+    "apply_whitehead",
+    "classify_pair",
+    "enumerate_relabelings",
+    "enumerate_whitehead",
+    "equal_length_orbit",
+    "is_primitive",
+    "minimize_tuple",
+    "nielsen_decompose",
+    "same_orbit",
+    "standard_basis",
+    "total_length",
+]
 
 import itertools
 import math
@@ -118,12 +145,14 @@ def _check_budget(count: int, kind: str, rank: int) -> None:
         )
 
 
+def _check_positive(rank: int) -> None:
+    if rank < 1:
+        raise ValueError("rank %d is below 1" % rank)
+
+
 def _check_multipliers(rank: int) -> None:
+    _check_positive(rank)
     _check_budget(2 * rank * (4 ** (rank - 1) - 1), "multiplier automorphisms", rank)
-
-
-def _check_relabelings(rank: int) -> None:
-    _check_budget(math.factorial(rank) * 2**rank, "relabelings", rank)
 
 
 class Action(IntEnum):
@@ -222,6 +251,7 @@ class WhiteheadAut(object):
     @classmethod
     def relabeling(cls, images: Sequence[Letter]) -> "WhiteheadAut":
         images = tuple(images)
+        _check_positive(len(images))
         _encode(images, len(images))
         if sorted(l.gen for l in images) != list(range(len(images))):
             raise ValueError("images must hit every generator exactly once")
@@ -275,6 +305,7 @@ class WhiteheadAut(object):
 
     def describe(self, alphabet: Alphabet) -> str:
         """External text form: 'perm a->b ...' or 'mult a b:right ...'."""
+        self._check_rank(alphabet)
         texts = _spelling(alphabet)[0]
         if self.images is not None:
             parts = [
@@ -297,8 +328,11 @@ def apply_whitehead(t: WhiteheadAut, w: CyclicWord) -> CyclicWord:
 
 def _multiplier(rank: int, m: int, code: int) -> WhiteheadAut:
     """The multiplier automorphism with multiplier vertex m and action
-    code `code`."""
-    return WhiteheadAut.multiplier(rank, _arc_letters(rank)[m], _actions(rank, m >> 1, code))
+    code `code`, built without `WhiteheadAut.multiplier`'s checks, which
+    every such pair passes.  It makes the table of `enumerate_whitehead`,
+    which checks the budget by `_check_multipliers` first, and each step
+    of `minimize_tuple`, whose cut table `_multiplier_cuts` checked it."""
+    return WhiteheadAut(rank, _arc_letters(rank)[m], tuple(_actions(rank, m >> 1, code)))
 
 
 @lru_cache(maxsize=None)
@@ -315,23 +349,33 @@ def enumerate_whitehead(rank: int) -> tuple[WhiteheadAut, ...]:
     )
 
 
-def _signed_permutations(rank: int) -> Iterator[tuple[int, ...]]:
-    """The vertex code of each generator's image under each relabeling,
-    in the order of enumerate_relabelings."""
-    for perm in itertools.permutations(range(0, 2 * rank, 2)):
-        for flips in itertools.product((0, 1), repeat=rank):
-            yield tuple([p | f for p, f in zip(perm, flips)])
+@lru_cache(maxsize=None)
+def _relabelings(rank: int) -> tuple[bytes, ...]:
+    """Each relabeling as its flat code map (byte c codes letter c's
+    image): permutations of the generators in lexicographic order, each
+    with every sign flip in binary counting order (generator 0's flip
+    most significant).  This is the one walk of the relabelings, and it
+    checks their count against WHITEHEAD_BUDGET before it starts;
+    `enumerate_relabelings` and the orbit closure read its result."""
+    _check_positive(rank)
+    _check_budget(math.factorial(rank) * 2**rank, "relabelings", rank)
+    return tuple([
+        bytes([p ^ f ^ s for p, f in zip(perm, flips) for s in (0, 1)])
+        for perm in itertools.permutations(range(0, 2 * rank, 2))
+        for flips in itertools.product((0, 1), repeat=rank)
+    ])
 
 
 @lru_cache(maxsize=None)
 def enumerate_relabelings(rank: int) -> tuple[WhiteheadAut, ...]:
-    """All n! * 2^n signed permutations of the generators."""
-    _check_relabelings(rank)
+    """All n! * 2^n signed permutations of the generators, in the order
+    of `_relabelings`, whose code maps give each generator g its image,
+    the letter of byte 2g; the budget is checked there."""
     letters = _arc_letters(rank)
-    return tuple(
-        WhiteheadAut.relabeling(tuple(letters[c] for c in codes))
-        for codes in _signed_permutations(rank)
-    )
+    return tuple([
+        WhiteheadAut(rank, images=tuple([letters[r[g]] for g in range(0, 2 * rank, 2)]))
+        for r in _relabelings(rank)
+    ])
 
 
 def _common_alphabet(ws: Sequence[CyclicWord]) -> Alphabet:
@@ -496,12 +540,12 @@ def minimize_tuple(
                 break
         else:
             break
-        actions = tuple(_actions(rank, m >> 1, code))
-        images = _multiplier_images(m, actions)
+        step = _multiplier(rank, m, code)
+        descent.append(step)
+        images = _multiplier_images(m, step.actions)
         words = [_cyclic_image(images, w) for w in words]
         length += change
         _check_predicted(sum(map(len, words)), length)
-        descent.append(WhiteheadAut(rank, _arc_letters(rank)[m], actions))
     if descent:
         current = tuple([CyclicWord._of(alphabet, w) for w in words])
     return current, descent
@@ -534,20 +578,13 @@ def equal_length_orbit(
     return {tuple([CyclicWord._of(alphabet, w, rotate=False) for w in member]) for member in orbit}
 
 
-@lru_cache(maxsize=None)
-def _relabelings(rank: int) -> tuple[bytes, ...]:
-    """Each relabeling as its flat code map (byte c codes letter c's
-    image), in the order of enumerate_relabelings."""
-    return tuple([bytes([c ^ f for c in cs for f in (0, 1)]) for cs in _signed_permutations(rank)])
-
-
 def _orbit_codes(start: tuple, rank: int, goal: tuple | None = None) -> set[tuple]:
     """equal_length_orbit on code words in least rotation.  Stops as soon
     as a class brings in `goal`, returning the closure found so far.
-    The rank's relabelings are built once, by `_relabelings`.  One never
-    cancels a letter, so it maps the codes one by one; a multiplier image
-    comes from `_cyclic_image` and is checked.  Each image is rotated once."""
-    _check_relabelings(rank)
+    The rank's relabelings are built once, by `_relabelings`, which
+    checks their budget.  One never cancels a letter, so it maps the
+    codes one by one; a multiplier image comes from `_cyclic_image` and
+    is checked.  Each image is rotated once."""
     relabelings = _relabelings(rank)
     target = sum(map(len, start))
     orbit: set[tuple] = set()

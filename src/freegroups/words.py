@@ -20,6 +20,23 @@ everything in this module can be shared freely between threads.
 
 from __future__ import annotations
 
+__all__ = [
+    "Alphabet",
+    "AlphabetMismatchError",
+    "CyclicWord",
+    "Letter",
+    "TrivialWordError",
+    "Word",
+    "WordFormatError",
+    "cyclic_reduce",
+    "format_letters",
+    "free_reduce",
+    "letter_support",
+    "parse_cyclic",
+    "parse_word",
+    "signed_support",
+]
+
 import string
 from dataclasses import dataclass
 from functools import cached_property, lru_cache

@@ -2,8 +2,9 @@
 folding, component and cycle tests on graph edges, the conjugacy
 search, the least rotation, the application of a Whitehead automorphism,
 the Nielsen search, the per-move replay of a Nielsen move list as an
-automorphism, the multiplier cut table and the Letter-keyed words, kept
-as test oracles for the fast paths that replaced them.
+automorphism, the multiplier cut table, the walk of the relabelings
+and the Letter-keyed words, kept as test oracles for the fast paths
+that replaced them.
 
 Each function is the straightforward version: degrees and is_folded
 pass over the edges, is_folded with a seen-set per direction;
@@ -19,7 +20,9 @@ rewrites `Letter`s one by one, then reduces, cyclically reduces and
 rotates in full; the Whitehead descent builds a public automorphism
 per step and rotates every word after every step; the multiplier scan
 slices one flat array of cut cells per multiplier at code offsets,
-where the library keeps one `bytes` per candidate; the Nielsen search
+where the library keeps one `bytes` per candidate; the relabelings are
+listed as each generator's image code, where the library keeps flat
+code maps over every letter; the Nielsen search
 keys its states by (gen, sign) pairs, reduces every product in full and
 starts from as many forward layers as the library's shared ball holds;
 a move list acts on a word by one letter substitution per move, where
@@ -322,6 +325,15 @@ def whitehead_cyclic(t, w):
     while i < j - 1 and letters[i] == letters[j - 1].inverse():
         i, j = i + 1, j - 1
     return least_rotation(letters[i:j])
+
+
+def signed_permutations(rank):
+    """The vertex code of each generator's image under each relabeling,
+    in the order of enumerate_relabelings: each permutation, then each
+    sign flip of it."""
+    for perm in itertools.permutations(range(0, 2 * rank, 2)):
+        for flips in itertools.product((0, 1), repeat=rank):
+            yield tuple([p | f for p, f in zip(perm, flips)])
 
 
 @lru_cache(maxsize=None)

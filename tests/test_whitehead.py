@@ -30,6 +30,7 @@ from freegroups.whitehead import (
     standard_basis,
     total_length,
     WhiteheadBudgetError,
+    _actions,
     _check_multipliers,
     _elementary_moves,
     _flow_reaches,
@@ -37,6 +38,7 @@ from freegroups.whitehead import (
     _multiplier,
     _multiplier_cuts,
     _reduction_moves,
+    _relabelings,
     _whitehead_graph,
 )
 from freegroups.words import (
@@ -46,6 +48,7 @@ from freegroups.words import (
     Letter,
     TrivialWordError,
     Word,
+    _arc_letters,
     _least_rotation_start,
     free_reduce,
     letter_support,
@@ -176,6 +179,47 @@ class TestEnumeration:
         for t in enumerate_whitehead(2):
             assert any(a != Action.KEEP for a in t.actions)
 
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_relabelings_follow_the_signed_permutations(self, rank):
+        # One walk feeds both tables, element by element and in order.
+        letters = _arc_letters(rank)
+        expected = list(oracle.signed_permutations(rank))
+        assert len(expected) == math.factorial(rank) * 2**rank
+        assert list(_relabelings(rank)) == [
+            bytes([c ^ f for c in codes for f in (0, 1)]) for codes in expected
+        ]
+        assert [t.images for t in enumerate_relabelings(rank)] == [
+            tuple(letters[c] for c in codes) for codes in expected
+        ]
+        assert all(t.rank == rank and t.mult is None for t in enumerate_relabelings(rank))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_multiplier_matches_the_checked_constructor(self, rank):
+        letters = _arc_letters(rank)
+        for m in range(2 * rank):
+            for code in range(1, 4 ** (rank - 1)):
+                checked = WhiteheadAut.multiplier(rank, letters[m], _actions(rank, m >> 1, code))
+                built = _multiplier(rank, m, code)
+                assert built == checked
+                assert type(built.actions) is tuple and type(built.mult) is Letter
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: WhiteheadAut.relabeling([]),
+            lambda: enumerate_relabelings(0),
+            lambda: enumerate_relabelings(-1),
+            lambda: _relabelings(0),
+            lambda: enumerate_whitehead(0),
+            lambda: enumerate_whitehead(-1),
+            lambda: _check_multipliers(0),
+            lambda: _multiplier_cuts(-2),
+        ],
+    )
+    def test_ranks_below_one_are_refused(self, build):
+        with pytest.raises(ValueError, match=r"^rank -?\d+ is below 1$"):
+            build()
+
 
 class TestApplication:
     def test_multiplier_forms(self):
@@ -209,6 +253,20 @@ class TestApplication:
         r = WhiteheadAut.relabeling((Letter(1, -1), Letter(0, 1)))
         assert r.describe(named) == "perm x0->x1^-1 x1->x0"
         assert r.describe(A2) == "perm a->B b->a"
+
+    @pytest.mark.parametrize(
+        "t,alphabet",
+        [
+            # Over too small an alphabet these raised IndexError; over a
+            # larger one the multiplier printed without the extra letter.
+            (WhiteheadAut.multiplier(3, Letter(2, 1), (1, 1, 0)), A2),
+            (WhiteheadAut.multiplier(3, Letter(2, 1), (1, 1, 0)), Alphabet.of_rank(4)),
+            (WhiteheadAut.relabeling((Letter(1, 1), Letter(0, -1))), Alphabet.of_rank(1)),
+        ],
+    )
+    def test_describe_checks_the_rank(self, t, alphabet):
+        with pytest.raises(AlphabetMismatchError, match="automorphism of rank"):
+            t.describe(alphabet)
 
     @pytest.mark.parametrize("mult", [Letter(-1, 1), Letter(2, 1), Letter(0, 2), Letter(1, 0)])
     def test_multiplier_rejects_bad_letters(self, mult):
@@ -535,6 +593,7 @@ class TestBudgets:
         assert len(enumerate_relabelings(2)) == 8
         monkeypatch.setattr(whitehead, "WHITEHEAD_BUDGET", 7)
         enumerate_relabelings.cache_clear()
+        _relabelings.cache_clear()
         with pytest.raises(WhiteheadBudgetError):
             enumerate_relabelings(2)
         with pytest.raises(WhiteheadBudgetError):
@@ -565,25 +624,18 @@ class TestBudgets:
             same_orbit((cyc("aabbcc", A3),), (cyc("aaabbb", A3),))
         assert same_orbit((cyc("aabbcc", A3),), (cyc("aacbbc", A3),))
 
-    def test_orbit_builds_the_relabelings_once_per_rank(self, monkeypatch):
-        # The orbit keeps each rank's relabelings, and checks the budget
-        # before it builds them.
-        walks = []
-        original = whitehead._signed_permutations
-
-        def counting(rank):
-            walks.append(rank)
-            return original(rank)
-
-        monkeypatch.setattr(whitehead, "_signed_permutations", counting)
-        whitehead._relabelings.cache_clear()
+    def test_orbit_builds_the_relabelings_once_per_rank(self):
+        # The orbit keeps each rank's relabelings, and `_relabelings`
+        # checks the budget before it builds them.
+        _relabelings.cache_clear()
         a4 = Alphabet.of_rank(4)
         assert len(equal_length_orbit((cyc("a", a4),))) == 8
         assert len(equal_length_orbit((cyc("aa", a4),))) == 8
-        assert walks == [4]
+        info = _relabelings.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         message = "error: rank 7 has 645120 relabelings, over the budget of 50000\n"
         assert run(["orbit", "-n", "7", "ab"]) == (2, "", message)
-        assert walks == [4]
+        assert _relabelings.cache_info().currsize == 1
 
     def test_same_orbit_stops_at_a_match(self):
         # bbaaccddee relabels aabbccddee, so the closure's first class

@@ -104,7 +104,7 @@ from .words import (
     _encode,
     _inverse,
     _join,
-    _least_rotation_start,
+    _rotated,
     _spelling,
     letter_support,
 )
@@ -232,60 +232,60 @@ def _cyclic_image(images: _Images, word: Iterable[int]) -> tuple[int, ...]:
     return tuple(out[i : len(out) - i])
 
 
-def _rotated(word: tuple[int, ...]) -> tuple[int, ...]:
-    """The least rotation of a code word, by Booth's algorithm."""
-    k = _least_rotation_start(word)
-    return word[k:] + word[:k]
-
-
 @dataclass(frozen=True)
 class WhiteheadAut(object):
     """Either a relabeling (signed generator permutation) or a multiplier
-    automorphism, determined by which of `images` / `mult` is set."""
+    automorphism, determined by which of `images` / `mult` is set.  The
+    constructor checks every field, however the value is built."""
 
     rank: int
     mult: Letter | None = None
     actions: tuple[int, ...] | None = None
     images: tuple[Letter, ...] | None = None
 
+    def __post_init__(self) -> None:
+        rank, mult, actions, images = self.rank, self.mult, self.actions, self.images
+        if images is not None and mult is None and actions is None:
+            _check_positive(rank)
+            _encode(images, rank)
+            if sorted([l.gen for l in images]) != list(range(rank)):
+                raise ValueError("images must hit every generator exactly once")
+        elif images is None and mult is not None and actions is not None:
+            _encode((mult,), rank)
+            if len(actions) != rank:
+                raise ValueError("need one action per generator")
+            # int() reads an Action as its value, and only checked entries.
+            kinds = tuple([int(a) for a in actions if isinstance(a, int) and 0 <= a <= 3])
+            if len(kinds) != rank:
+                raise ValueError("unknown action in %r" % (actions,))
+            if kinds[mult.gen] != Action.KEEP:
+                raise ValueError("the multiplier's own generator must be kept")
+            object.__setattr__(self, "actions", kinds)
+        else:
+            raise ValueError("a Whitehead automorphism has images alone, or mult with actions")
+
     @classmethod
     def relabeling(cls, images: Sequence[Letter]) -> "WhiteheadAut":
         images = tuple(images)
-        _check_positive(len(images))
-        _encode(images, len(images))
-        if sorted(l.gen for l in images) != list(range(len(images))):
-            raise ValueError("images must hit every generator exactly once")
-        return cls(rank=len(images), images=images)
+        return cls(len(images), images=images)
 
     @classmethod
-    def multiplier(
-        cls, rank: int, mult: Letter, actions: Sequence[int]
-    ) -> "WhiteheadAut":
-        _encode((mult,), rank)
-        actions = tuple(actions)
-        if len(actions) != rank:
-            raise ValueError("need one action per generator")
-        if not all(isinstance(a, int) and 0 <= a <= 3 for a in actions):
-            raise ValueError("unknown action in %r" % (actions,))
-        if actions[mult.gen] != Action.KEEP:
-            raise ValueError("the multiplier's own generator must be kept")
-        return cls(rank=rank, mult=mult, actions=tuple(map(int, actions)))
+    def multiplier(cls, rank: int, mult: Letter, actions: Sequence[int]) -> "WhiteheadAut":
+        return cls(rank, mult, tuple(actions))
 
     def inverse(self) -> "WhiteheadAut":
         if self.images is not None:
             inv = [Letter(0, 1)] * self.rank
             for g, image in enumerate(self.images):
                 inv[image.gen] = Letter(g, image.sign)
-            return WhiteheadAut.relabeling(inv)
+            return WhiteheadAut(self.rank, images=tuple(inv))
         # Flipping the multiplier's sign undoes every action kind.
-        assert self.mult is not None and self.actions is not None
-        return WhiteheadAut.multiplier(self.rank, self.mult.inverse(), self.actions)
+        return WhiteheadAut(self.rank, self.mult.inverse(), self.actions)
 
     @cached_property
     def _code_images(self) -> _Images:
         if self.images is not None:
             return _images([(l.code,) for l in self.images])
-        assert self.mult is not None and self.actions is not None
         return _multiplier_images(self.mult.code, self.actions)
 
     def apply_to_word(self, w: Word) -> Word:
@@ -313,7 +313,6 @@ class WhiteheadAut(object):
                 for g, img in enumerate(self.images)
             ]
             return "perm " + " ".join(parts)
-        assert self.mult is not None and self.actions is not None
         parts = [
             "%s:%s" % (alphabet.symbols[g], Action(a).name.lower())
             for g, a in enumerate(self.actions)
@@ -328,11 +327,10 @@ def apply_whitehead(t: WhiteheadAut, w: CyclicWord) -> CyclicWord:
 
 def _multiplier(rank: int, m: int, code: int) -> WhiteheadAut:
     """The multiplier automorphism with multiplier vertex m and action
-    code `code`, built without `WhiteheadAut.multiplier`'s checks, which
-    every such pair passes.  It makes the table of `enumerate_whitehead`,
-    which checks the budget by `_check_multipliers` first, and each step
-    of `minimize_tuple`, whose cut table `_multiplier_cuts` checked it."""
-    return WhiteheadAut(rank, _arc_letters(rank)[m], tuple(_actions(rank, m >> 1, code)))
+    code `code`.  It makes the table of `enumerate_whitehead`, which
+    checks the budget by `_check_multipliers` first, and each step of
+    `minimize_tuple`, whose cut table `_multiplier_cuts` checked it."""
+    return WhiteheadAut(rank, _arc_letters(rank)[m], _actions(rank, m >> 1, code))
 
 
 @lru_cache(maxsize=None)

@@ -9,10 +9,10 @@ Encoding: Word and CyclicWord store their letters as vertex codes
 2 * gen + (1 for an inverse), so c ^ 1 is the inverse of c and the codes
 order letters as Letter.key does.  Every module works on these codes:
 the Whitehead graph and the Nielsen search, the arcs of Stallings
-graphs and Booth's least rotation.  This module alone converts them to
-and from Letter objects, which the public API keeps: the constructors
-take Letters, `letters` gives them back, and `_arc_letters` maps a code
-to its Letter.
+graphs and the least rotation, which one linear scan finds for
+`_rotated`, the library's one rotation.  This module alone converts
+codes to and from Letters, which the public API keeps: constructors
+take Letters, `letters` gives them back, `_arc_letters` maps a code.
 
 All values are immutable and all operations are pure functions, so
 everything in this module can be shared freely between threads.
@@ -220,9 +220,8 @@ class CyclicWord(_CodedWord):
     def _set(self, alphabet: Alphabet, codes: tuple[int, ...], rotate: bool = True) -> None:
         # rotate=False: the codes are already in their least rotation.
         _check(codes, alphabet.rank, cyclic=True)
-        k = _least_rotation_start(codes) if rotate else 0
         object.__setattr__(self, "alphabet", alphabet)
-        object.__setattr__(self, "codes", codes[k:] + codes[:k])
+        object.__setattr__(self, "codes", _rotated(codes) if rotate else codes)
 
     @classmethod
     def from_word(cls, w: Word) -> "CyclicWord":
@@ -240,27 +239,27 @@ class CyclicWord(_CodedWord):
 
 def _least_rotation_start(keys: Sequence[int]) -> int:
     """Where the lexicographically least rotation of the integer
-    sequence starts, by Booth's O(n) algorithm (Booth 1980)."""
-    n = len(keys)
-    if n <= 1:
-        return 0
-    s = list(keys) * 2
-    failure = [-1] * (2 * n)
-    k = 0  # start of the least rotation found so far
-    for j in range(1, 2 * n):
-        c = s[j]
-        i = failure[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = failure[i]
-        if c != s[k + i + 1]:  # here i == -1
-            if c < s[k]:
-                k = j
-            failure[j - k] = -1
+    sequence first starts, by an O(n) two-pointer scan of the doubled
+    sequence, which keeps no table.  At the first difference of starts
+    i < j, k letters in, the loser's starts up to k letters on lose too."""
+    n, s = len(keys), list(keys) * 2
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        if s[i + k] == s[j + k]:
+            k += 1
+        elif s[i + k] > s[j + k]:
+            i = max(i + k + 1, j)
+            j, k = i + 1, 0
         else:
-            failure[j - k] = i + 1
-    return k
+            j, k = j + k + 1, 0
+    return i
+
+
+def _rotated(codes: tuple[int, ...]) -> tuple[int, ...]:
+    """A code word cut where the scan says its least rotation starts:
+    the library's one rotation, for `CyclicWord` and the Whitehead orbit."""
+    k = _least_rotation_start(codes)
+    return codes[k:] + codes[:k]
 
 
 def _reduce(codes: Iterable[int]) -> tuple[int, ...]:

@@ -14,8 +14,10 @@ find_cycle keeps a visited set beside a stack of path records that it
 unwinds per vertex, where the library keeps one depth table; fold
 restarts its scan after every merge, the peels recount every degree
 each round, intersect builds the whole product, arcs_from scans every
-edge, the conjugacy search tries every rotation at every vertex and
-the least rotation compares all n rotations; a Whitehead automorphism
+edge, the conjugacy search tries every rotation at every vertex,
+the least rotation compares all n rotations, and Booth's algorithm
+finds its start with a failure table, as the library did before its
+two-pointer scan; a Whitehead automorphism
 rewrites `Letter`s one by one, then reduces, cyclically reduces and
 rotates in full; the Whitehead descent builds a public automorphism
 per step and rotates every word after every step; the multiplier scan
@@ -286,6 +288,31 @@ def least_rotation(letters):
     keys = [l.key for l in letters]
     best = min(range(n), key=lambda r: [keys[(r + i) % n] for i in range(n)])
     return letters[best:] + letters[:best]
+
+
+def booth_least_rotation_start(keys):
+    """Where the least rotation of the integer sequence starts, by
+    Booth's failure-function algorithm (Booth 1980)."""
+    n = len(keys)
+    if n <= 1:
+        return 0
+    s = list(keys) * 2
+    failure = [-1] * (2 * n)
+    k = 0  # start of the least rotation found so far
+    for j in range(1, 2 * n):
+        c = s[j]
+        i = failure[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = failure[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            failure[j - k] = -1
+        else:
+            failure[j - k] = i + 1
+    return k
 
 
 def whitehead_letters(t, letters):

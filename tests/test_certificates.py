@@ -1,7 +1,9 @@
 """The library re-checks its own answers with explicit raises, so the
 checks hold under `python -O`, which strips assert statements.  Each
-check is forced to fail in a fresh optimized interpreter."""
+check is forced to fail in a fresh optimized interpreter, and no module
+of the library holds an assert statement."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -130,18 +132,22 @@ else:
 """
 
 
-def test_certificate_checks_survive_optimized_mode():
+def run_optimized(script):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    done = subprocess.run(
-        [sys.executable, "-O", "-c", SCRIPT],
+    return subprocess.run(
+        [sys.executable, "-O", "-c", script],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_certificate_checks_survive_optimized_mode():
+    done = run_optimized(SCRIPT)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == [
         "words_distance_two raised",
@@ -156,3 +162,35 @@ def test_certificate_checks_survive_optimized_mode():
         "primitive_in_intersection raised",
         "FreeSplitting raised: combined basis words do not generate F",
     ]
+
+
+def test_automorphism_fields_are_checked_in_optimized_mode():
+    # With neither images nor a multiplier, describe and apply_to_cyclic
+    # once failed on a bare assert, or under -O on a None field.
+    done = run_optimized(
+        "import sys\n"
+        "from freegroups.whitehead import WhiteheadAut\n"
+        "if not sys.flags.optimize:\n"
+        "    sys.exit('not running under -O')\n"
+        "try:\n"
+        "    WhiteheadAut(2)\n"
+        "except ValueError as e:\n"
+        "    print('WhiteheadAut raised:', e)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (
+        "WhiteheadAut raised: a Whitehead automorphism has images alone, or mult with actions\n"
+    )
+
+
+def test_library_has_no_assert_statements():
+    # A check made by assert vanishes under -O, so every check raises.
+    paths = sorted((SRC / "freegroups").glob("*.py"))
+    assert len(paths) > 1
+    asserts = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

@@ -65,6 +65,7 @@ from freegroups.words import (
     _least_rotation_start,
     _parse_codes,
     _reduce,
+    _rotated,
     concat,
     cyclic_reduce,
     format_letters,
@@ -396,9 +397,22 @@ class TestConjugacySearch:
 
 
 def least_rotation(seq):
-    """Booth's algorithm on the letters' codes, read back as letters."""
-    k = _least_rotation_start([l.code for l in seq])
-    return seq[k:] + seq[:k]
+    """The library's rotation on the letters' codes, read back as letters."""
+    rotated = _rotated(tuple([l.code for l in seq]))
+    return tuple([Letter(c >> 1, -1 if c & 1 else 1) for c in rotated])
+
+
+@st.composite
+def symbol_sequences(draw):
+    """Sequences of 0-40 symbols from an alphabet of 1-4: arbitrary ones,
+    and rotations of a repeated unit of 1-4 symbols."""
+    symbols = st.integers(0, draw(st.integers(1, 4)) - 1)
+    if draw(st.booleans()):
+        return tuple(draw(st.lists(symbols, max_size=40)))
+    unit = draw(st.lists(symbols, min_size=1, max_size=4))
+    seq = unit * draw(st.integers(1, 40 // len(unit)))
+    shift = draw(st.integers(0, len(seq) - 1))
+    return tuple(seq[shift:] + seq[:shift])
 
 
 class TestLeastRotation:
@@ -417,6 +431,27 @@ class TestLeastRotation:
         seq = tuple(unit * k)
         seq = seq[shift % len(seq):] + seq[: shift % len(seq)]
         assert least_rotation(seq) == oracle.least_rotation(seq)
+
+    @settings(max_examples=500, deadline=None)
+    @given(symbol_sequences())
+    def test_scan_starts_where_booth_does(self, keys):
+        assert _least_rotation_start(keys) == oracle.booth_least_rotation_start(keys)
+
+    @pytest.mark.parametrize(
+        "keys,start",
+        [
+            ((0,) * 4095 + (2,), 0),
+            ((2,) + (0,) * 4095, 1),
+            ((0, 2) * 2048, 0),
+            ((0, 0, 2) * 1365, 0),
+            ((0,) * 4096, 0),
+        ],
+        ids=["a^4095 b", "b a^4095", "(ab)^2048", "(aab)^1365", "a^4096"],
+    )
+    def test_scan_starts_where_booth_does_on_long_words(self, keys, start):
+        # One letter runs, periods of two and three letters, and the
+        # all-equal word, where every start ties and the first is returned.
+        assert _least_rotation_start(keys) == oracle.booth_least_rotation_start(keys) == start
 
 
 def check_kernel(t, w):

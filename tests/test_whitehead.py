@@ -294,6 +294,39 @@ class TestApplication:
         with pytest.raises(ValueError, match="outside alphabet"):
             WhiteheadAut.relabeling(images)
 
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: WhiteheadAut.relabeling((Letter(0, 1), Letter(0, -1))), "every generator"),
+            (lambda: WhiteheadAut(3, images=(Letter(1, 1), Letter(0, 1))), "every generator"),
+            (lambda: WhiteheadAut.multiplier(2, Letter(0, 1), (0,)), "one action per generator"),
+            (lambda: WhiteheadAut.multiplier(3, Letter(0, 1), (0, 1, 2, 3)), "one action per"),
+            (lambda: WhiteheadAut.multiplier(2, Letter(1, -1), (1, 1)), "own generator must be kept"),
+            (lambda: WhiteheadAut(2, Letter(0, 1), (0, 7)), "unknown action"),
+        ],
+    )
+    def test_constructor_checks_the_fields(self, build, message):
+        # The classmethods only arrange their arguments; the constructor
+        # makes every check, so a direct call is refused as they are.
+        with pytest.raises(ValueError, match=message):
+            build()
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"mult": Letter(0, 1)},
+            {"actions": (0, 1)},
+            {"mult": Letter(0, 1), "actions": (0, 1), "images": (Letter(0, 1), Letter(1, 1))},
+            {"actions": (0, 1), "images": (Letter(0, 1), Letter(1, 1))},
+            {"mult": Letter(0, 1), "images": (Letter(0, 1), Letter(1, 1))},
+        ],
+        ids=["none", "mult alone", "actions alone", "all three", "actions and images", "mult and images"],
+    )
+    def test_constructor_takes_images_alone_or_mult_with_actions(self, fields):
+        with pytest.raises(ValueError, match="images alone, or mult with actions"):
+            WhiteheadAut(2, **fields)
+
     def test_inverse_round_trip_everywhere(self):
         autos = enumerate_whitehead(2) + enumerate_relabelings(2)
         words = all_cyclic_words(A2, 3, include_trivial=True)
@@ -512,7 +545,6 @@ class TestDescentWork:
             return _least_rotation_start(keys)
 
         monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
-        monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
         _, descent = minimize_tuple(ws)
         # The words are rotated once, at the end, and only if they moved.
         assert len(calls) == (len(ws) if descent else 0)
@@ -542,7 +574,6 @@ class TestDescentWork:
             return original(images_, word)
 
         monkeypatch.setattr("freegroups.words._least_rotation_start", counting)
-        monkeypatch.setattr(whitehead, "_least_rotation_start", counting)
         monkeypatch.setattr(whitehead, "_cyclic_image", imaging)
         monkeypatch.setattr(whitehead, "_relabelings", lambda rank: Counting(relabelings(rank)))
         orbit = equal_length_orbit(ws)

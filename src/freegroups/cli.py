@@ -7,6 +7,18 @@ errors.
 Words use the case format (a, A = a^-1, "1" trivial); subgroups are one
 quoted argument of whitespace-separated generator words; splittings are
 `split <words> | <words>`.
+
+`fgt batch` serves many requests from one process. It reads standard
+input to its end and takes each non-blank line as one request: the
+arguments after `fgt`, split as a POSIX shell splits them (`shlex`).
+For each request it writes a header line `<exit> <stdout lines> <stderr
+lines>`, then that many lines of the request's standard output and then
+of its standard error, so a reader can split the answers without
+parsing them. A request exits as it would alone, except that one which
+would read standard input (`iso`, a nested `batch`) exits 2, a line
+with an unbalanced quote exits 2, and any raise other than a usage or
+input error exits 2 with its traceback on the request's stderr lines;
+the batch goes on with the next line and itself exits 0.
 """
 
 from __future__ import annotations
@@ -111,7 +123,10 @@ def _answer(ans) -> tuple[int, str]:
 
 
 # A command handler takes (parsed args, alphabet, read), where read()
-# returns standard input, and gives (exit code, standard output).
+# returns standard input, and gives (exit code, standard output); every
+# output is empty or ends in a newline, as a batch frame counts lines.
+# cmd() binds the alphabet, so a parsed `handler` takes (args, read),
+# as `_batch`, which needs no alphabet, does.
 
 def _iso(args, alphabet: Alphabet, read) -> tuple[int, str]:
     # A line is blank once stripped, as graph_from_text reads lines.
@@ -145,6 +160,29 @@ def _prim_intersect(args, alphabet: Alphabet, read) -> tuple[int, str]:
     )])
 
 
+def _refuse_stdin():
+    raise _Exit(2, "", "error: a request in a batch cannot read standard input\n")
+
+
+def _batch(args, read) -> tuple[int, str]:
+    # Imported here, so that a one-shot request pays no start-up for them.
+    import shlex
+    import traceback
+
+    frames = []
+    for line in read().split("\n"):
+        if not line.strip():
+            continue
+        try:
+            code, out, err = _invoke(shlex.split(line), _refuse_stdin)
+        except ValueError as e:  # shlex: an unbalanced quote or escape
+            code, out, err = 2, "", "error: %s\n" % e
+        except Exception:
+            code, out, err = 2, "", traceback.format_exc()
+        frames.append("%d %d %d\n%s%s" % (code, out.count("\n"), err.count("\n"), out, err))
+    return 0, "".join(frames)
+
+
 _WORDS = {"help": "quoted whitespace-separated words"}
 _SPLIT = {"help": "'split <words> | <words>'"}
 _POSITIONALS = {
@@ -163,6 +201,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fgt", description="free group toolkit")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    # Each command's own subparser, by name, for _parse.
+    parser.commands = sub.choices
 
     def cmd(name, text, handler, *positionals, dot=False) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=text, description=text)
@@ -180,7 +220,7 @@ def _build_parser() -> _Parser:
                            help="append a dot rendering after the serialization")
         for arg in positionals:
             p.add_argument(arg, **_POSITIONALS.get(arg, {}))
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=lambda a, read: handler(a, _alphabet_of(a), read))
         return p
 
     cmd("reduce", "freely reduce a word",
@@ -239,15 +279,33 @@ def _build_parser() -> _Parser:
         lambda a, al, _: (0, _lines([nielsen_bound(_splitting(a.splitting1, al),
                                                    _splitting(a.splitting2, al))])),
         "splitting1", "splitting2")
+    text = "run one request per standard input line, each answer framed by a header line"
+    sub.add_parser("batch", help=text, description=text).set_defaults(handler=_batch)
     return parser
+
+
+def _parse(argv) -> argparse.Namespace:
+    """The namespace of `_build_parser().parse_args(argv)`, at about
+    half the cost when argv starts with a command name: that command's
+    own subparser parses the rest.  The full parse stays for everything
+    else, so a bare `fgt`, a leading option, an unknown name and an
+    unrecognized argument keep their top-level usage and error text."""
+    parser = _build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def _invoke(argv, read) -> tuple[int, str, str]:
     """Parse argv and run its command's handler; only a command that
     takes standard input calls read(), and only once parsing succeeds."""
     try:
-        args = _build_parser().parse_args(argv)
-        code, out = args.handler(args, _alphabet_of(args), read)
+        args = _parse(argv)
+        code, out = args.handler(args, read)
     except _Exit as e:
         return e.args
     except ValueError as e:  # parse and semantic errors from the library

@@ -246,10 +246,12 @@ class WhiteheadAut(object):
     def __post_init__(self) -> None:
         rank, mult, actions, images = self.rank, self.mult, self.actions, self.images
         if images is not None and mult is None and actions is None:
+            images = tuple(images)
             _check_positive(rank)
             _encode(images, rank)
             if sorted([l.gen for l in images]) != list(range(rank)):
                 raise ValueError("images must hit every generator exactly once")
+            object.__setattr__(self, "images", images)
         elif images is None and mult is not None and actions is not None:
             _encode((mult,), rank)
             if len(actions) != rank:
@@ -266,7 +268,6 @@ class WhiteheadAut(object):
 
     @classmethod
     def relabeling(cls, images: Sequence[Letter]) -> "WhiteheadAut":
-        images = tuple(images)
         return cls(len(images), images=images)
 
     @classmethod

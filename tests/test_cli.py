@@ -8,8 +8,10 @@ import subprocess
 import sys
 import threading
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freegroups import cli, ellipticity, whitehead
 from freegroups.cli import main, run
@@ -450,7 +452,7 @@ class TestMain:
 COMMANDS = (
     "reduce", "cyclic", "graph", "member", "basis", "type", "intersect", "conjugate", "iso",
     "wmin", "orbit", "primitive", "good", "dist2-split", "dist2-word", "prim-intersect",
-    "nielsen-bound",
+    "nielsen-bound", "batch",
 )
 
 
@@ -468,6 +470,112 @@ class TestCommandSet:
         # wrapped help lines sit deeper.
         listed = re.findall(r"^    (\S+)", out.split("\n  command\n", 1)[1], re.M)
         assert sorted(listed) == sorted(COMMANDS)
+
+
+# Command names known and unknown, every option in full and abbreviated,
+# the option terminator and a few positionals.
+ARGV_TOKENS = (
+    *COMMANDS, "bogus", "", "-n", "2", "3", "0", "x", "-n2", "--alphabet", "--alphabet=ab",
+    "--al", "--alph", "-h", "--help", "--he", "--dot", "--do", "--steps", "--st", "--based",
+    "-w", "--", "a", "ab", "aB bA", "A", "split a | b", "split ab | b",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(ARGV_TOKENS), max_size=8))
+def test_dispatch_matches_the_full_parse(argv):
+    # A command's own subparser stands in for the full parse: the same
+    # namespace, or the same exit, and the same run() result.
+    full_parse = cli._build_parser().parse_args
+
+    def parsed(parse):
+        try:
+            return parse(argv)
+        except cli._Exit as e:
+            return e.args
+
+    assert parsed(cli._parse) == parsed(full_parse)
+    with mock.patch.object(cli, "_parse", full_parse):
+        expected = run(argv)
+    assert run(argv) == expected
+
+
+def unframe(text):
+    """(exit code, stdout, stderr) of each frame of a batch's output."""
+    assert text == "" or text.endswith("\n")
+    lines = [line + "\n" for line in text.split("\n")[:-1]]
+    frames = []
+    while lines:
+        code, n_out, n_err = map(int, lines.pop(0).split())
+        frames.append((code, "".join(lines[:n_out]), "".join(lines[n_out:n_out + n_err])))
+        del lines[:n_out + n_err]
+    return frames
+
+
+class TestBatch:
+    # One request of every command, and two errors.
+    REQUESTS = [
+        ["reduce", "-n", "2", "abBA"],
+        ["cyclic", "-n", "2", "aba"],
+        ["graph", "-n", "2", "baB", "--dot"],
+        ["member", "-n", "2", "baB", "-w", "baaB"],
+        ["basis", "-n", "2", "aa ab ba"],
+        ["type", "-n", "2", "baB"],
+        ["intersect", "-n", "2", "aa", "aaa"],
+        ["conjugate", "-n", "2", "a", "bab"],
+        ["iso", "--help"],
+        ["wmin", "-n", "2", "ab", "--steps"],
+        ["orbit", "-n", "2", "ab"],
+        ["primitive", "-n", "2", "abAB"],
+        ["good", "-n", "2", "ab", "ba"],
+        ["dist2-split", "-n", "2", "split a | b", "split ab | b"],
+        ["dist2-word", "-n", "2", "abAB", "a"],
+        ["prim-intersect", "-n", "3", "split a b | c", "A", "split b c | a", "A"],
+        ["nielsen-bound", "-n", "3", "split a | b c", "split a b | c"],
+        ["batch", "--help"],
+        ["reduce", "-n", "2", "xq"],
+        ["bogus"],
+    ]
+
+    def test_frames_round_trip(self):
+        assert {argv[0] for argv in self.REQUESTS} >= set(COMMANDS)
+        lines = "".join(shlex.join(argv) + "\n" for argv in self.REQUESTS)
+        code, out, err = run(["batch"], lines)
+        assert (code, err) == (0, "")
+        assert unframe(out) == [run(argv) for argv in self.REQUESTS]
+
+    def test_a_library_fault_ends_only_its_request(self, monkeypatch):
+        def forged(*args):
+            raise CertificateError("forged")
+
+        monkeypatch.setattr(cli, "nielsen_bound", forged)
+        lines = "nielsen-bound -n 2 'split a | b' 'split ab | b'\nreduce -n 2 aA\n"
+        code, out, err = run(["batch"], lines)
+        assert (code, err) == (0, "")
+        (fault_code, fault_out, fault_err), after = unframe(out)
+        assert (fault_code, fault_out) == (2, "")
+        assert fault_err.startswith("Traceback") and fault_err.endswith("CertificateError: forged\n")
+        assert after == (0, "1\n", "")
+
+    def test_standard_input_is_the_batch_s_own(self):
+        refused = (2, "", "error: a request in a batch cannot read standard input\n")
+        frames = unframe(run(["batch"], "iso -n 2\nbatch\niso --help\n")[1])
+        assert frames == [refused, refused, run(["iso", "--help"])]
+        assert frames[2][1].startswith("usage: fgt iso ")
+
+    def test_unbalanced_quote(self):
+        assert unframe(run(["batch"], "reduce -n 2 'ab\n")[1]) == [
+            (2, "", "error: No closing quotation\n")
+        ]
+
+    def test_blank_lines_are_skipped(self):
+        assert run(["batch"], "\n   \n\t\r\nreduce -n 2 aA\r\n\n") == (0, "0 1 0\n1\n", "")
+        assert run(["batch"], "") == (0, "", "")
+
+    def test_main_reads_the_requests_from_stdin(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("primitive -n 2 aab\nprimitive -n 2 abAB\n"))
+        assert main(["batch"]) == 0
+        assert capsys.readouterr().out == "0 1 0\ntrue\n1 1 0\nfalse\n"
 
 
 class TestConcurrentRuns:
@@ -545,6 +653,17 @@ def test_readme_command_line_examples(argv, stdout):
     )
     expected_code = 1 if stdout in ("false\n", "no\n") else 0
     assert (done.stdout, done.returncode, done.stderr) == (stdout, expected_code, "")
+
+
+def test_readme_batch_example():
+    # The requests are the printf arguments; the lines after it, up to
+    # the block's end, are the batch's output.
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    head, rest = text.split(" | fgt batch\n", 1)
+    printf = shlex.split(head.rsplit("\n$ ", 1)[1])
+    assert printf[:2] == ["printf", "%s\\n"]
+    requests = "".join(line + "\n" for line in printf[2:])
+    assert run(["batch"], requests) == (0, rest.split("```", 1)[0], "")
 
 
 def test_readme_lists_the_rebase_examples():

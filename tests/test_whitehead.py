@@ -203,6 +203,15 @@ class TestEnumeration:
                 assert built == checked
                 assert type(built.actions) is tuple and type(built.mult) is Letter
 
+    def test_images_from_a_list_are_stored_as_a_tuple(self):
+        # A list would leave the frozen value unhashable and unequal to
+        # its relabeling twin.
+        built = WhiteheadAut(2, images=[Letter(0, 1), Letter(1, -1)])
+        twin = WhiteheadAut.relabeling((Letter(0, 1), Letter(1, -1)))
+        assert type(built.images) is tuple
+        assert built == twin and hash(built) == hash(twin)
+        assert {built, twin} == {twin}
+
     @pytest.mark.parametrize(
         "build",
         [

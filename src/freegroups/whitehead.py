@@ -6,10 +6,10 @@ which fix a multiplier letter m and send every other generator x to one
 of x, xm, m^-1 x, or m^-1 x m.  Relabelings never change length, and if
 a tuple of cyclic words is not of minimal total length in its
 automorphism orbit then some multiplier automorphism strictly shortens
-it, so first-improvement descent over the multiplier family reaches the
-minimum.  Two minimal tuples lie in the same orbit exactly when they
-are connected by length-preserving Whitehead automorphisms, which is
-what the orbit closure computes.
+it, so any strictly shortening descent over the multiplier family
+reaches the minimum.  Two minimal tuples lie in the same orbit exactly
+when they are connected by length-preserving Whitehead automorphisms,
+which is what the orbit closure computes.
 
 Candidates are scored without rewriting any word.  The Whitehead graph
 of a tuple has one vertex per letter and, for each cyclically adjacent
@@ -19,12 +19,17 @@ with multiplier m has the side A = {m} + {x : x acts right or conj} +
 cap(A) - deg(m), the number of edges leaving A minus the degree of m
 (Whitehead 1936; Roig-Ventura-Weil 2007).  A max flow between x and
 x^-1 bounds the change of every multiplier x or x^-1 at once, so most
-blocks of candidates are never scored.  Descent scores the rest in
-enumeration order and applies only the first that shortens, a
+blocks of candidates are never scored.  `minimize_tuple` scores the rest
+in enumeration order and applies only the first that shortens, a
 (multiplier vertex, action code); its words are rotated once, at the
-end.  The orbit closure applies only the multipliers that score zero,
-then every relabeling to what they reach.  Each applied multiplier is
-checked against its predicted length.
+end.  `is_primitive` reads only the minimal length, so it descends by
+minimum cuts instead: each step is the side of the first flow that stays
+below deg(x), and no table is built.  `wmin`, `dist2-word` and
+`same_orbit` keep the scan, since the steps and witnesses they print,
+their minimal tuples and the orbit's budget depend on its path.  The
+orbit closure applies only the multipliers that score zero, then every
+relabeling to what they reach.  Each applied multiplier is checked
+against its predicted length.
 
 The scan, the orbit, the application of an automorphism and the
 Nielsen search read the vertex codes 2 * gen + (1 for an inverse) that
@@ -39,8 +44,9 @@ WhiteheadAut from a (multiplier vertex, action code).  Their count is
 exponential in the rank, so each cached table checks it against
 WHITEHEAD_BUDGET before it is built: `_relabelings` itself, and
 `enumerate_whitehead` and the cut table `_multiplier_cuts` through
-`_check_multipliers`.  The orbit closure also checks the budget before
-each relabeling class it adds.  Ranks below 1 are refused.
+`_check_multipliers`, which `is_primitive` calls too.  The orbit closure
+also checks the budget before each relabeling class it adds.  Ranks
+below 1 are refused.
 
 Nielsen transformations are the elementary moves on ordered bases:
 invert one entry, or right-multiply one entry by another.  A basis
@@ -437,10 +443,12 @@ def _multiplier_cuts(rank: int) -> tuple[tuple[bytes, ...], ...]:
     return tuple(table)
 
 
-def _flow_reaches(graph: list[int], size: int, source: int, target: int) -> bool:
+def _cut_below(graph: list[int], size: int, source: int, target: int) -> list[int] | None:
     """Does the max flow from vertex `source` to its inverse, with the
-    matrix as capacities, reach `target`?  Augments along shortest
-    residual paths (Edmonds-Karp) and stops as soon as it does."""
+    matrix as capacities, stay below `target`?  Then the vertices the
+    last residual search reached, a minimum cut's side; else None.
+    Augments along shortest residual paths (Edmonds-Karp) and stops as
+    soon as the flow reaches `target`."""
     sink = source ^ 1
     residual = graph[:]
     flow = 0
@@ -457,7 +465,7 @@ def _flow_reaches(graph: list[int], size: int, source: int, target: int) -> bool
             if parent[sink] >= 0:
                 break
         else:
-            return False
+            return queue
         push, v = target - flow, sink
         while v != source:
             u = parent[v]
@@ -470,7 +478,7 @@ def _flow_reaches(graph: list[int], size: int, source: int, target: int) -> bool
             residual[v * size + u] += push
             v = u
         flow += push
-    return True
+    return None
 
 
 def _length_changes(
@@ -501,7 +509,7 @@ def _length_changes(
     cuts = _multiplier_cuts(rank)
     for x in range(0, size, 2):
         target = degrees[x] + bound + 1
-        if target <= degrees[x] and _flow_reaches(graph, size, x, target):
+        if target <= degrees[x] and _cut_below(graph, size, x, target) is None:
             continue
         for m in (x, x + 1):
             deg = degrees[m]
@@ -633,13 +641,38 @@ def same_orbit(us: Sequence[CyclicWord], vs: Sequence[CyclicWord]) -> bool:
     return goal in _orbit_codes(tuple([w.codes for w in mu]), alphabet.rank, goal)
 
 
+def _cut_descent(words: list[tuple[int, ...]], rank: int) -> list[tuple[int, ...]]:
+    """Descent by minimum cuts (Roig-Ventura-Weil 2007) on code words,
+    returned unrotated.  A step takes the first generator x whose flow
+    to x^-1 stays below deg(x) and applies the multiplier x with that
+    cut's side as A, the best of both blocks of x (see `_length_changes`)."""
+    size = 2 * rank
+    while True:
+        graph, degrees = _whitehead_graph(words, rank)
+        for x in range(0, size, 2):
+            side = _cut_below(graph, size, x, degrees[x])
+            if side is not None:
+                break
+        else:
+            return words
+        cut = sum([graph[a * size + b] for a in side for b in range(size) if b not in side])
+        length = sum(map(len, words)) + cut - degrees[x]
+        actions = [(g in side) | (g + 1 in side) << 1 if g != x else 0 for g in range(0, size, 2)]
+        images = _multiplier_images(x, actions)
+        words = [_cyclic_image(images, w) for w in words]
+        _check_predicted(sum(map(len, words)), length)
+
+
 def is_primitive(w: Word) -> bool:
     """Is w an entry of some free basis?  True exactly when the minimal
-    cyclic length in its orbit is one."""
+    cyclic length in its orbit is one.  Only that length is read, and
+    every strictly shortening descent stops at it, so this one descends
+    by minimum cuts, with no table; the rank keeps the table's budget."""
     if w.is_trivial:
         raise TrivialWordError("the trivial word is not primitive")
-    minimal, _ = minimize_tuple((CyclicWord.from_word(w),))
-    return total_length(minimal) == 1
+    rank = w.alphabet.rank
+    _check_multipliers(rank)
+    return sum(map(len, _cut_descent([CyclicWord.from_word(w).codes], rank))) == 1
 
 
 class PairClass(IntEnum):

@@ -61,8 +61,8 @@ from freegroups.whitehead import (
     _actions,
     _check_multipliers,
     _check_predicted,
+    _cut_below,
     _elementary_moves,
-    _flow_reaches,
     _length_changes,
     _multiplier,
     _whitehead_graph,
@@ -397,7 +397,7 @@ def length_changes(words, rank, bound):
     cuts = multiplier_cuts(rank)
     for x in range(0, size, 2):
         target = degrees[x] + bound + 1
-        if target <= degrees[x] and _flow_reaches(graph, size, x, target):
+        if target <= degrees[x] and _cut_below(graph, size, x, target) is None:
             continue
         for m in (x, x + 1):
             deg = degrees[m]

@@ -58,7 +58,7 @@ expect_certificate_error(
 )
 
 # Whitehead-graph scoring: every applied move must give the predicted length.
-# The descent and the orbit take each multiplier image from _cyclic_image.
+# Both descents and the orbit take each multiplier image from _cyclic_image.
 whitehead._cyclic_image = lambda images, word: (0, 2, 2)
 expect_certificate_error(
     "minimize_tuple", lambda: whitehead.minimize_tuple((parse_cyclic("ab", A2),))
@@ -66,6 +66,7 @@ expect_certificate_error(
 expect_certificate_error(
     "equal_length_orbit", lambda: whitehead.equal_length_orbit((parse_cyclic("a", A2),))
 )
+expect_certificate_error("is_primitive", lambda: whitehead.is_primitive(parse_word("ab", A2)))
 
 # build_subgroup takes the graph its words fold to as the core without
 # peeling it, and the graph it makes must be a core: a folded graph with
@@ -155,6 +156,7 @@ def test_certificate_checks_survive_optimized_mode():
         "nielsen_reduction raised",
         "minimize_tuple raised",
         "equal_length_orbit raised",
+        "is_primitive raised",
         "build_subgroup raised",
         "splittings_distance_two raised",
         "splittings_distance_two witness raised",

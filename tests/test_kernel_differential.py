@@ -11,7 +11,7 @@ import threading
 
 import kernel_oracles as oracle
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from freegroups import ellipticity, whitehead
 from freegroups.cli import run
@@ -51,8 +51,10 @@ from freegroups.whitehead import (
     apply_nielsen,
     enumerate_relabelings,
     enumerate_whitehead,
+    is_primitive,
     minimize_tuple,
     standard_basis,
+    total_length,
 )
 from freegroups.words import (
     Alphabet,
@@ -538,7 +540,43 @@ def descent_tuples(draw):
     return tuple(CyclicWord.from_word(free_reduce(w, alphabet)) for w in words)
 
 
+@st.composite
+def words_and_letter_images(draw):
+    """A random cyclic word at ranks 1-5, or the image of a letter under
+    1-12 random multiplier automorphisms, which is primitive."""
+    rank = draw(st.integers(1, 5))
+    alphabet = Alphabet.of_rank(rank)
+    if draw(st.booleans()):
+        word = free_reduce(draw(st.lists(letters(rank), min_size=1, max_size=20)), alphabet)
+    else:
+        codes = [draw(st.integers(0, 2 * rank - 1))]
+        for _ in range(draw(st.integers(1, 12))):
+            m = draw(st.integers(0, 2 * rank - 1))
+            actions = draw(st.lists(st.sampled_from(Action), min_size=rank, max_size=rank))
+            actions[m >> 1] = Action.KEEP
+            codes = _free_image(_multiplier_images(m, actions), codes)
+        word = Word._of(alphabet, codes)
+    return CyclicWord.from_word(word)
+
+
 class TestDescent:
+    @settings(max_examples=200, deadline=None)
+    @given(words_and_letter_images())
+    def test_cut_descent_reaches_the_scans_minimal_length(self, w):
+        # Both descents shorten strictly, so both stop at the orbit's
+        # minimum, though not always at the same tuple.
+        assume(len(w) > 0)
+        cut = whitehead._cut_descent([w.codes], w.alphabet.rank)
+        length = total_length(minimize_tuple((w,))[0])
+        assert sum(map(len, cut)) == length
+        assert is_primitive(w.as_word()) == (length == 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(descent_tuples())
+    def test_cut_descent_on_tuples(self, ws):
+        cut = whitehead._cut_descent([w.codes for w in ws], ws[0].alphabet.rank)
+        assert sum(map(len, cut)) == total_length(minimize_tuple(ws)[0])
+
     @settings(max_examples=80, deadline=None)
     @given(descent_tuples(), st.integers(-3, 0))
     def test_scan_matches_the_offsets_layout(self, ws, bound):

@@ -32,8 +32,8 @@ from freegroups.whitehead import (
     WhiteheadBudgetError,
     _actions,
     _check_multipliers,
+    _cut_below,
     _elementary_moves,
-    _flow_reaches,
     _length_changes,
     _multiplier,
     _multiplier_cuts,
@@ -458,26 +458,34 @@ class TestWhiteheadGraph:
 
     def test_pruning_cases_cover_zero_degree_and_full_cuts(self):
         graph, degrees = _whitehead_graph(codes_of((cyc("ab", A3),)), 3)
-        assert degrees[4] == 0 and _flow_reaches(graph, 6, 4, 0)
+        assert degrees[4] == 0 and _cut_below(graph, 6, 4, 0) is None
         graph, degrees = _whitehead_graph(codes_of((cyc("abAB", Alphabet.of_rank(4)),)), 4)
-        assert degrees[0] == 2 and _flow_reaches(graph, 8, 0, 2)
+        assert degrees[0] == 2 and _cut_below(graph, 8, 0, 2) is None
 
     @settings(max_examples=60, deadline=None)
     @given(cyclic_tuples(ranks=(2, 3, 4)))
     def test_flow_matches_brute_force_min_cut(self, ws):
+        # A flow that stops short returns a side of the minimum cut.
         rank = ws[0].alphabet.rank
         size = 2 * rank
         graph, degrees = _whitehead_graph(codes_of(ws), rank)
+
+        def capacity(side):
+            return sum(graph[a * size + b] for a in side for b in range(size) if b not in side)
+
         for x in range(size):
             others = [v for v in range(size) if v not in (x, x ^ 1)]
             cut = min(
-                sum(graph[a * size + b] for a in side for b in range(size) if b not in side)
+                capacity({x, *extra})
                 for k in range(len(others) + 1)
                 for extra in itertools.combinations(others, k)
-                for side in [{x, *extra}]
             )
             for target in range(degrees[x] + 2):
-                assert _flow_reaches(graph, size, x, target) == (cut >= target)
+                side = _cut_below(graph, size, x, target)
+                assert (side is None) == (cut >= target)
+                if side is not None:
+                    assert x in side and x ^ 1 not in side
+                    assert capacity(set(side)) == cut
 
     @settings(max_examples=60, deadline=None)
     @given(cyclic_tuples())
@@ -675,6 +683,9 @@ class TestBudgets:
         assert (info.misses, info.currsize) == (1, 1)
         message = "error: rank 7 has 645120 relabelings, over the budget of 50000\n"
         assert run(["orbit", "-n", "7", "ab"]) == (2, "", message)
+        # The descent of `primitive` builds no table, but keeps the limit.
+        message = "error: rank 7 has 57330 multiplier automorphisms, over the budget of 50000\n"
+        assert run(["primitive", "-n", "7", "abcdefg"]) == (2, "", message)
         assert _relabelings.cache_info().currsize == 1
 
     def test_same_orbit_stops_at_a_match(self):
